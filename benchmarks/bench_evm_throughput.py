@@ -433,7 +433,8 @@ def _profile_breakdown(contracts, iters: int) -> list[str]:
     lines.append(f"fusion: {fstats['programs']} programs, "
                  f"{fstats['blocks_fused']} fused / "
                  f"{fstats['blocks_interp']} interp / "
-                 f"{fstats['blocks_bailout']} bailout blocks, "
+                 f"{fstats['blocks_bailout']} bailout blocks "
+                 f"({fstats['entries_compiled']} entries compiled), "
                  f"{fstats['folded_ops']} ops folded, "
                  f"{fstats['threaded_jumps']} jumps threaded, "
                  f"{fstats['fused_steps']} steps on the fused tier, "

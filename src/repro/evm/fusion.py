@@ -3,9 +3,9 @@
 The table loop in :mod:`repro.evm.machine` still pays a Python-level loop
 iteration, step-budget check, gas decrement, and kind dispatch for *every*
 opcode.  This module amortizes that overhead across straight-line regions:
-at analysis time it walks the :func:`repro.analysis.cfg.build_cfg` blocks of
-a bytecode and compiles each basic block into **one** specialized Python
-closure:
+it walks the :func:`repro.analysis.cfg.build_cfg` blocks of a bytecode and
+compiles each basic block, the first time execution enters it, into
+**one** specialized Python closure:
 
 * per-block gas is precomputed and charged as a single constant
   subtraction (every opcode cost is static except the CALL family, which
@@ -74,6 +74,16 @@ from).  Exceptional halts raise :class:`~repro.evm.errors` types exactly
 like the table loop; closures sync ``machine._steps`` (and
 ``machine._sync_gas`` ahead of REVERT) before any raising operation so the
 step count and revert gas refund stay exact.
+
+Compilation is lazy.  Building a program classifies every block (chaining
+needs every tier up front) and builds the cheap interp and bailout
+closures, but each fused entry starts as a stub: its source is generated,
+``compile()``d under ``<fusion:{digest}:{mask}:{start}>`` and ``exec``d
+the first time the trampoline, a threaded return or an interp block's
+successor lookup enters it, after which the real closure replaces the
+stub everywhere.  The emitted code of an entry does not depend on when it
+compiles, so only entries a campaign actually runs pay for code
+generation.
 
 Programs are cached in a process-level LRU beside
 :mod:`repro.evm.analysis`'s ``CodeAnalysis`` cache — but keyed on the
@@ -199,14 +209,21 @@ TIER_BAILOUT = "bailout"
 # baked into the generated code), and a snapshot-time collector mirrors
 # the totals into the registry's counters.
 
-_T_PROGRAMS = _metrics.counter("fusion.programs_compiled")
-_T_FUSED = _metrics.counter("fusion.blocks.fused")
-_T_INTERP = _metrics.counter("fusion.blocks.interp")
-_T_BAILOUT = _metrics.counter("fusion.blocks.bailout")
-_T_FOLDED = _metrics.counter("fusion.folded_ops")
-_T_INLINED = _metrics.counter("fusion.inlined_ops")
-_T_THREADED = _metrics.counter("fusion.threaded_jumps")
-_T_CHAINED = _metrics.counter("fusion.chained_blocks")
+#: compile-side totals, keyed like :attr:`FusedProgram.stats`: block
+#: tiers are counted when a program is classified, the emit counts
+#: (``compiled`` entries, ``folded``/``inlined``/``threaded``/``chained``)
+#: as its fused entries materialize
+_T_TOTALS = {
+    "programs": _metrics.counter("fusion.programs_compiled"),
+    "fused": _metrics.counter("fusion.blocks.fused"),
+    "interp": _metrics.counter("fusion.blocks.interp"),
+    "bailout": _metrics.counter("fusion.blocks.bailout"),
+    "compiled": _metrics.counter("fusion.entries_compiled"),
+    "folded": _metrics.counter("fusion.folded_ops"),
+    "inlined": _metrics.counter("fusion.inlined_ops"),
+    "threaded": _metrics.counter("fusion.threaded_jumps"),
+    "chained": _metrics.counter("fusion.chained_blocks"),
+}
 _T_FUSED_STEPS = _metrics.counter("fusion.fused_steps")
 _T_RT_BAILOUTS = _metrics.counter("fusion.runtime_bailouts")
 _T_HITS = _metrics.counter("fusion.cache.hits")
@@ -217,14 +234,7 @@ _T_REASONS = {
     "undefined": _metrics.counter("fusion.fallback.undefined"),
 }
 
-_programs = 0
-_blocks_fused = 0
-_blocks_interp = 0
-_blocks_bailout = 0
-_folded_ops = 0
-_inlined_ops = 0
-_threaded_jumps = 0
-_chained_blocks = 0
+_totals = dict.fromkeys(_T_TOTALS, 0)
 _runtime_bailouts = 0
 _fallback_reasons: dict[str, int] = {}
 #: fused runtime step count — a list cell so generated code can bump it
@@ -233,14 +243,8 @@ _FUSED_STEPS = [0]
 
 
 def _collect_fusion_counters() -> None:
-    _T_PROGRAMS.set_total(_programs)
-    _T_FUSED.set_total(_blocks_fused)
-    _T_INTERP.set_total(_blocks_interp)
-    _T_BAILOUT.set_total(_blocks_bailout)
-    _T_FOLDED.set_total(_folded_ops)
-    _T_INLINED.set_total(_inlined_ops)
-    _T_THREADED.set_total(_threaded_jumps)
-    _T_CHAINED.set_total(_chained_blocks)
+    for key, counter in _T_TOTALS.items():
+        counter.set_total(_totals[key])
     _T_FUSED_STEPS.set_total(_FUSED_STEPS[0])
     _T_RT_BAILOUTS.set_total(_runtime_bailouts)
     _T_HITS.set_total(_hits)
@@ -259,17 +263,31 @@ def note_runtime_bailout() -> None:
 
 
 class FusedProgram:
-    """The compiled block map for one ``(code, event_mask)`` pair."""
+    """The block map for one ``(code, event_mask)`` pair.
 
-    __slots__ = ("entry", "blocks", "tiers", "stats", "source")
+    Fused-tier entries start as stubs and compile on first entry (see
+    :func:`_compile_program`); ``materialize(start)`` is the on-demand
+    accessor the stubs call, returning the compiled closure."""
 
-    def __init__(self, entry, blocks: dict, tiers: dict, stats: dict,
-                 source: str) -> None:
-        self.entry = entry          # closure for pc 0, or None (empty code)
-        self.blocks = blocks        # start pc -> closure
+    __slots__ = ("blocks", "tiers", "stats", "sources", "materialize")
+
+    def __init__(self, blocks: dict, tiers: dict, stats: dict,
+                 materialize) -> None:
+        self.blocks = blocks        # start pc -> closure (or stub)
         self.tiers = tiers          # start pc -> TIER_* string
-        self.stats = stats          # compile-time counts (tests, --profile)
-        self.source = source        # generated fused-block source (tests)
+        self.stats = stats          # tier + emit counts (tests, --profile)
+        self.sources: list[str] = []  # one per compiled entry
+        self.materialize = materialize
+
+    @property
+    def entry(self):
+        """Closure for pc 0, or None (empty code)."""
+        return self.blocks.get(0)
+
+    @property
+    def source(self) -> str:
+        """Generated source of the fused entries compiled so far (tests)."""
+        return "".join(self.sources)
 
 
 # -- classification -----------------------------------------------------------
@@ -766,7 +784,7 @@ def _emit_inline(op, pc, pending, out, sname, bname, flush, mask,
 FUSION_CHAIN_LIMIT = 32
 
 
-def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
+def _emit_fused_block(block, analysis, cfg, mask, hname, sname, bname,
                       lines, stats, tiers) -> None:
     """Append the generated source for one fused *superblock* to ``lines``.
 
@@ -893,7 +911,7 @@ def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
         g["gas"] += sum(OPCODE_INFO[i.opcode].gas for i in ins_list)
         g["steps"] += len(ins_list)
         path.append(blk.start)
-        _emit_segment(blk, analysis, cfg, mask, ns, hname, sname, bname,
+        _emit_segment(blk, analysis, cfg, mask, hname, sname, bname,
                       out, stats, goto, chain_or_goto, emit_branch_record)
         path.pop()
         if not cont:
@@ -942,7 +960,7 @@ def _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname, bname,
     lines.append("")
 
 
-def _emit_segment(block, analysis, cfg, mask, ns, hname, sname, bname, out,
+def _emit_segment(block, analysis, cfg, mask, hname, sname, bname, out,
                   stats, goto, chain_or_goto, emit_branch_record) -> None:
     """Emit one basic block's body and terminator into ``out`` (one
     segment of a superblock — see :func:`_emit_fused_block`).  The
@@ -1280,15 +1298,35 @@ def _make_bailout_block(start: int):
 # -- program compilation ------------------------------------------------------
 
 
+def _make_stub(start: int, materialize):
+    """Placeholder for a fused entry not yet compiled: the first call
+    compiles the entry (which replaces the stub in ``blocks`` and the
+    generated-code namespace) and tail-calls the real closure."""
+
+    def stub(m, frame, depth, gas, steps):
+        return materialize(start)(m, frame, depth, gas, steps)
+
+    return stub
+
+
 def _compile_program(code: bytes, mask: int) -> FusedProgram:
-    global _programs, _blocks_fused, _blocks_interp, _blocks_bailout
-    global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
+    """Classify every block of ``code`` and build its block map.
+
+    Interp and bailout closures are built here; each fused-tier entry is
+    installed as a stub and generated, ``compile()``d and ``exec``d the
+    first time it is entered.  A campaign enters only a fraction of a
+    contract's entry points (and init code runs once, at deploy), so the
+    source of the entries never entered is never generated.  Generated
+    code reaches successors through ``B{start}`` globals in the shared
+    namespace and interp blocks through ``blocks`` — both maps hold the
+    stub until the entry compiles, then the real closure."""
     analysis = analyze_code(code)
     cfg = build_cfg(code)
+    digest = hashlib.sha256(code).hexdigest()[:12]
     blocks: dict[int, object] = {}
     stats = {"blocks": len(cfg.blocks), "fused": 0, "interp": 0,
-             "bailout": 0, "folded": 0, "inlined": 0, "threaded": 0,
-             "chained": 0, "reasons": {}}
+             "bailout": 0, "compiled": 0, "folded": 0, "inlined": 0,
+             "threaded": 0, "chained": 0, "reasons": {}}
     ns: dict = {
         "FB": FUSION_BAILOUT,
         "FS": _FUSED_STEPS,
@@ -1317,9 +1355,21 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
 
     #: chaining needs every block's tier before any block is emitted
     tiers: dict[int, str] = {}
-    reasons: dict[int, str | None] = {}
+    #: fused entries still installed as stubs
+    uncompiled: set[int] = set()
     for start in sorted(cfg.blocks):
-        tiers[start], reasons[start] = _classify(cfg.blocks[start])
+        block = cfg.blocks[start]
+        tier, reason = _classify(block)
+        tiers[start] = tier
+        stats[tier] += 1
+        if tier == TIER_FUSED:
+            uncompiled.add(start)
+            continue
+        stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
+        if tier == TIER_INTERP:
+            blocks[start] = _make_interp_block(block, analysis, blocks)
+        else:
+            blocks[start] = _make_bailout_block(start)
 
     def hname(op: int) -> str:
         name = f"H{op:02X}"
@@ -1351,47 +1401,41 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
             ns[name] = data
         return name
 
-    lines: list[str] = []
-    fused_starts: list[int] = []
-    for start in sorted(cfg.blocks):
-        block = cfg.blocks[start]
-        tier, reason = tiers[start], reasons[start]
-        if tier == TIER_FUSED:
-            _emit_fused_block(block, analysis, cfg, mask, ns, hname, sname,
-                              bname, lines, stats, tiers)
-            fused_starts.append(start)
-            stats["fused"] += 1
-        elif tier == TIER_INTERP:
-            blocks[start] = _make_interp_block(block, analysis, blocks)
-            stats["interp"] += 1
-            stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
-        else:
-            blocks[start] = _make_bailout_block(start)
-            stats["bailout"] += 1
-            stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
+    def materialize(start: int):
+        """The compiled closure for the entry at ``start``, generating
+        and compiling it on the first request."""
+        if start not in uncompiled:
+            return blocks[start]
+        lines: list[str] = []
+        counts = {"compiled": 1, "folded": 0, "inlined": 0, "threaded": 0,
+                  "chained": 0}
+        _emit_fused_block(cfg.blocks[start], analysis, cfg, mask, hname,
+                          sname, bname, lines, counts, tiers)
+        source = "\n".join(lines)
+        exec(compile(source, f"<fusion:{digest}:{mask:#x}:{start}>",
+                     "exec"), ns)
+        closure = blocks[start] = ns[f"B{start}"]
+        uncompiled.discard(start)
+        program.sources.append(source)
+        for key, count in counts.items():
+            stats[key] += count
+            _totals[key] += count
+        return closure
 
-    source = "\n".join(lines)
-    if fused_starts:
-        digest = hashlib.sha256(code).hexdigest()[:12]
-        exec(compile(source, f"<fusion:{digest}:{mask:#x}>", "exec"), ns)
-        for start in fused_starts:
-            blocks[start] = ns[f"B{start}"]
+    for start in uncompiled:
+        blocks[start] = _make_stub(start, materialize)
     # every block closure is reachable by name from generated code
     # (threaded returns may target interp/bailout blocks too)
     for start, closure in blocks.items():
         ns[f"B{start}"] = closure
 
-    _programs += 1
-    _blocks_fused += stats["fused"]
-    _blocks_interp += stats["interp"]
-    _blocks_bailout += stats["bailout"]
-    _folded_ops += stats["folded"]
-    _inlined_ops += stats["inlined"]
-    _threaded_jumps += stats["threaded"]
-    _chained_blocks += stats["chained"]
+    program = FusedProgram(blocks, tiers, stats, materialize)
+    _totals["programs"] += 1
+    for tier in (TIER_FUSED, TIER_INTERP, TIER_BAILOUT):
+        _totals[tier] += stats[tier]
     for reason, count in stats["reasons"].items():
         _fallback_reasons[reason] = _fallback_reasons.get(reason, 0) + count
-    return FusedProgram(blocks.get(0), blocks, tiers, stats, source)
+    return program
 
 
 # -- process-level cache ------------------------------------------------------
@@ -1436,14 +1480,15 @@ def fused_program(code: bytes, event_mask: int) -> FusedProgram:
 def fusion_stats() -> dict:
     """Compile/runtime counters (tests, benches, ``--profile``)."""
     return {
-        "programs": _programs,
-        "blocks_fused": _blocks_fused,
-        "blocks_interp": _blocks_interp,
-        "blocks_bailout": _blocks_bailout,
-        "folded_ops": _folded_ops,
-        "inlined_ops": _inlined_ops,
-        "threaded_jumps": _threaded_jumps,
-        "chained_blocks": _chained_blocks,
+        "programs": _totals["programs"],
+        "blocks_fused": _totals["fused"],
+        "blocks_interp": _totals["interp"],
+        "blocks_bailout": _totals["bailout"],
+        "entries_compiled": _totals["compiled"],
+        "folded_ops": _totals["folded"],
+        "inlined_ops": _totals["inlined"],
+        "threaded_jumps": _totals["threaded"],
+        "chained_blocks": _totals["chained"],
         "fused_steps": _FUSED_STEPS[0],
         "runtime_bailouts": _runtime_bailouts,
         "fallback_reasons": dict(_fallback_reasons),
@@ -1455,19 +1500,11 @@ def fusion_stats() -> dict:
 
 def clear_cache() -> None:
     """Drop every cached program and reset the counters (tests)."""
-    global _programs, _blocks_fused, _blocks_interp, _blocks_bailout
-    global _folded_ops, _inlined_ops, _threaded_jumps, _chained_blocks
     global _runtime_bailouts, _hits, _misses
     _cache.clear()
     _id_memo.clear()
-    _programs = 0
-    _blocks_fused = 0
-    _blocks_interp = 0
-    _blocks_bailout = 0
-    _folded_ops = 0
-    _inlined_ops = 0
-    _threaded_jumps = 0
-    _chained_blocks = 0
+    for key in _totals:
+        _totals[key] = 0
     _runtime_bailouts = 0
     _fallback_reasons.clear()
     _FUSED_STEPS[0] = 0

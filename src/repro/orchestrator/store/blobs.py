@@ -4,9 +4,10 @@ Blobs live on disk under ``<root>/<sha256[:2]>/<sha256>`` — named by the
 sha256 of their bytes, so identical payloads are stored once no matter how
 many jobs reference them (checkpoints of trials over the same contract
 share most of their corpus).  The blob *files* are immutable and
-self-verifying; reference counting lives with whoever owns the references
-(the SQLite backend keeps a ``blobs`` refcount table and calls
-:meth:`delete` when a sha drops to zero).
+self-verifying: :meth:`BlobStore.get` re-hashes what it reads and treats
+a mismatch as a missing blob.  Reference counting lives with whoever owns
+the references (the SQLite backend keeps a ``blobs`` refcount table and
+calls :meth:`delete` when a sha drops to zero).
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ class BlobStore:
         return sha
 
     def get(self, sha: str) -> str | None:
+        """The blob's text, or None when it is missing, unreadable or no
+        longer hashes to ``sha`` (a corrupt blob reads as absent)."""
         try:
-            return self.path_for(sha).read_text()
-        except OSError:
+            text = self.path_for(sha).read_text()
+        except (OSError, UnicodeDecodeError):
             return None
+        return text if self.address(text) == sha else None
 
     def has(self, sha: str) -> bool:
         return self.path_for(sha).exists()

@@ -51,6 +51,7 @@ def run_code(code: bytes, *, block_fusion: bool, event_mask: int = EV_ALL,
              max_steps: int = 200_000):
     world = WorldState()
     world.account(0xAAA)
+    world.set_code(0xAAA, code)  # a CALL to self re-enters the same code
     world.set_balance(0xBEEF, 10 ** 20)
     machine = Machine(world, BlockContext(), max_steps=max_steps,
                       event_mask=event_mask, block_fusion=block_fusion)
@@ -84,6 +85,27 @@ def assert_differential(code: bytes, *, event_mask: int = EV_ALL,
     return res_f, m_f
 
 
+def entered(code: bytes, mask: int, starts=(0,)) -> FusedProgram:
+    """The program for ``code`` under ``mask`` with the entries at
+    ``starts`` compiled, through the same accessor their stubs call."""
+    program = fused_program(code, mask)
+    for start in starts:
+        program.materialize(start)
+    return program
+
+
+#: i = 3; while i: i -= 1 — the back edge re-enters pc 2 through a
+#: threaded ``return B2`` (an ancestor on the chain is never spliced)
+COUNTDOWN = asm(push1(3),                       # pc 0..1
+                Op.JUMPDEST,                    # pc 2
+                Op.DUP1, push1(10), Op.JUMPI,   # pc 3..6
+                Op.POP, Op.STOP,                # pc 7..8
+                Op.INVALID,                     # pc 9 (padding)
+                Op.JUMPDEST,                    # pc 10
+                push1(1), Op.SWAP1, Op.SUB,     # pc 11..14
+                push1(2), Op.JUMP)              # pc 15..17
+
+
 @pytest.fixture(autouse=True)
 def _fresh_fusion_cache():
     fusion.clear_cache()
@@ -98,7 +120,7 @@ class TestFolding:
     def test_push_push_add_folds_to_literal(self):
         # PUSH 2, PUSH 3, ADD, PUSH 0, SSTORE
         code = asm(push1(2), push1(3), Op.ADD, push1(0), Op.SSTORE, Op.STOP)
-        program = fused_program(code, 0)
+        program = entered(code, 0)
         assert program.stats["folded"] >= 1
         # the folded 5 flows straight into the inlined SSTORE as a baked
         # literal — it is never materialized on the runtime stack
@@ -112,20 +134,20 @@ class TestFolding:
     def test_overflow_event_blocks_wrapping_fold(self):
         # 2**255 * 2 truncates: must NOT fold while EV_OVERFLOW subscribed
         code = asm((1 << 255, 32), push1(2), Op.MUL, Op.POP, Op.STOP)
-        masked = fused_program(code, EV_OVERFLOW)
-        unmasked = fused_program(code, 0)
+        masked = entered(code, EV_OVERFLOW)
+        unmasked = entered(code, 0)
         assert masked.stats["folded"] < unmasked.stats["folded"]
         # ...and the runtime handler actually records the event
         _, m = run_code(code, block_fusion=True, event_mask=EV_OVERFLOW)
         assert len(m.trace.overflows) == 1
         # non-truncating arithmetic still folds under the same mask
         benign = asm(push1(2), push1(3), Op.ADD, Op.POP, Op.STOP)
-        assert fused_program(benign, EV_OVERFLOW).stats["folded"] >= 1
+        assert entered(benign, EV_OVERFLOW).stats["folded"] >= 1
 
     def test_compare_event_blocks_comparison_fold(self):
         code = asm(push1(1), push1(2), Op.GT, push1(0), Op.SSTORE, Op.STOP)
-        assert fused_program(code, EV_COMPARE).stats["folded"] == 0
-        folded = fused_program(code, 0)
+        assert entered(code, EV_COMPARE).stats["folded"] == 0
+        folded = entered(code, 0)
         assert folded.stats["folded"] >= 1
         # GT pops x=2 (top), y=1: 2 > 1 → 1, baked into the inlined SSTORE
         assert ("m.world.set_storage(frame.msg.address, 0, 1, "
@@ -150,7 +172,7 @@ class TestFolding:
     def test_dup_swap_pop_operate_on_pending(self):
         code = asm(push1(7), push1(9), Op.SWAP1, Op.DUP2, Op.ADD, Op.POP,
                    Op.POP, Op.STOP)
-        program = fused_program(code, 0)
+        program = entered(code, 0)
         # every op folded away: no runtime stack traffic at all (only the
         # overflow precheck inspects the stack)
         assert "append" not in program.source
@@ -162,7 +184,7 @@ class TestFolding:
         # DIV pops x=20 (top), y... handler computes top / next: 20/5 = 4
         code = asm(push1(5), push1(20), Op.DIV, push1(0), Op.SSTORE,
                    Op.STOP)
-        program = fused_program(code, EV_ALL)
+        program = entered(code, EV_ALL)
         assert program.stats["folded"] >= 1
         _, m = run_code(code, block_fusion=True)
         assert m.world.account(0xAAA).storage[0] == 4
@@ -185,11 +207,11 @@ class TestThreading:
     def test_static_jump_threads_and_chains_inline(self):
         code = asm(push1(4), Op.JUMP, Op.INVALID,    # pc 3 INVALID padding
                    Op.JUMPDEST, Op.STOP)             # pc 4 JUMPDEST
-        program = fused_program(code, 0)
+        program = entered(code, 0, starts=(0, 4))
         assert program.stats["threaded"] == 1
-        # the target block is spliced into B0's body (superblock chain):
-        # its decline guard resumes the table at pc 4, and no trampoline
-        # transition (`return B4,`) remains on the path
+        # the target block is spliced into B0's body (superblock chain),
+        # so no trampoline transition (`return B4,`) remains on the path;
+        # entered on its own, its decline guard resumes the table at pc 4
         assert program.stats["chained"] >= 1
         assert "return FB, gas, steps, 4" in program.source
         assert "return B4," not in program.source
@@ -197,18 +219,9 @@ class TestThreading:
         assert res.success
 
     def test_countdown_loop_runs_block_to_block(self):
-        # i = 3; while i: i -= 1  — JUMPDEST loop with a threaded back edge
-        code = asm(push1(3),                       # pc 0..1
-                   Op.JUMPDEST,                    # pc 2
-                   Op.DUP1, push1(10), Op.JUMPI,   # pc 3..6
-                   Op.POP, Op.STOP,                # pc 7..8
-                   Op.INVALID,                     # pc 9 (padding)
-                   Op.JUMPDEST,                    # pc 10
-                   push1(1), Op.SWAP1, Op.SUB,     # pc 11..14
-                   push1(2), Op.JUMP)              # pc 15..17
-        program = fused_program(code, 0)
+        program = entered(COUNTDOWN, 0)
         assert program.stats["threaded"] >= 2
-        res, m = assert_differential(code, event_mask=EV_ALL)
+        res, m = assert_differential(COUNTDOWN, event_mask=EV_ALL)
         assert res.success
         assert len(m.trace.branches) == 4  # 3 taken + 1 fallthrough
 
@@ -308,8 +321,8 @@ class TestTiers:
 class TestCache:
     def test_programs_specialize_per_mask(self):
         code = asm(push1(1), push1(2), Op.LT, Op.POP, Op.STOP)
-        folded = fused_program(code, 0)
-        unfolded = fused_program(code, EV_COMPARE)
+        folded = entered(code, 0)
+        unfolded = entered(code, EV_COMPARE)
         assert folded is not unfolded
         assert folded.stats["folded"] > unfolded.stats["folded"]
 
@@ -342,6 +355,116 @@ class TestCache:
         assert program.entry is None
         res, _ = run_code(b"", block_fusion=True)
         assert res.success
+
+
+# -- compile on first entry ---------------------------------------------------
+
+#: COUNTDOWN with GAS in the loop head: pc 2 is interp-tier, so the
+#: fused body at pc 11 and the exit at pc 9 are reached only through the
+#: interp block's successor lookup in the block map
+INTERP_LOOP = asm(push1(3),                     # pc 0..1
+                  Op.JUMPDEST, Op.GAS, Op.POP,  # pc 2..4
+                  Op.DUP1, push1(11), Op.JUMPI,  # pc 5..8
+                  Op.POP, Op.STOP,              # pc 9..10
+                  Op.JUMPDEST,                  # pc 11
+                  push1(1), Op.SWAP1, Op.SUB,   # pc 12..15
+                  push1(2), Op.JUMP)            # pc 16..18
+
+
+class TestLazyCompile:
+    def test_entry_never_entered_is_never_compiled(self):
+        # the dynamic JUMP goes where calldata says: pc 5, never pc 7
+        code = asm(push1(0), Op.CALLDATALOAD, Op.JUMP,    # pc 0..3
+                   Op.INVALID,                            # pc 4
+                   Op.JUMPDEST, Op.STOP,                  # pc 5..6
+                   Op.JUMPDEST, push1(1), push1(0),       # pc 7..11
+                   Op.SSTORE, Op.STOP)                    # pc 12..13
+        program = fused_program(code, EV_ALL)
+        fused = [s for s, tier in program.tiers.items() if tier == TIER_FUSED]
+        assert fused == [0, 4, 5, 7]
+        # classification counts every fused-tier block up front...
+        assert program.stats["fused"] == 4
+        # ...but nothing is compiled before execution enters it
+        assert program.stats["compiled"] == 0
+        assert program.source == ""
+        res, m = run_code(code, block_fusion=True,
+                          calldata=(5).to_bytes(32, "big"))
+        assert res.success
+        assert m.world.account(0xAAA).storage == {}
+        assert program.stats["compiled"] == 2
+        assert "def B0(" in program.source and "def B5(" in program.source
+        assert "def B4(" not in program.source
+        assert "def B7(" not in program.source
+        assert program.stats["fused"] == 4
+        stats = fusion_stats()
+        assert stats["blocks_fused"] == 4
+        assert stats["entries_compiled"] == 2
+
+    @pytest.mark.parametrize("code, start, path", [
+        (asm(push1(2), push1(3), Op.ADD, Op.POP, Op.STOP), 0, "entry"),
+        (COUNTDOWN, 2, "threaded"),
+        (INTERP_LOOP, 11, "interp"),
+    ], ids=["entry", "threaded", "interp"])
+    def test_entry_materializes_exactly_once(self, code, start, path):
+        for _ in range(2):
+            res, _ = assert_differential(code, event_mask=EV_ALL)
+            assert res.success
+        program = fused_program(code, EV_ALL)
+        assert program.tiers[start] == TIER_FUSED
+        if path == "threaded":
+            assert f"return B{start}," in program.source
+        elif path == "interp":
+            assert program.tiers[2] == TIER_INTERP
+            assert f"B{start}" not in program.source.replace(
+                f"def B{start}(", "")
+        assert program.source.count(f"def B{start}(") == 1
+        compiled = program.stats["compiled"]
+        assert compiled == program.source.count("def B")
+        assert fusion_stats()["entries_compiled"] == compiled
+        # the stub is gone: the accessor and both maps hand out the
+        # compiled closure, and nothing compiles again
+        closure = program.materialize(start)
+        assert program.blocks[start] is closure
+        if start == 0:
+            assert program.entry is closure
+        run_code(code, block_fusion=True)
+        assert program.stats["compiled"] == compiled
+        assert program.source.count(f"def B{start}(") == 1
+
+    def test_nested_call_reenters_code_with_an_uncompiled_entry(self):
+        # outer frame (no calldata): CALL self with one byte of calldata,
+        # then jump to pc 27.  The inner frame jumps to pc 27 first, so it
+        # compiles that entry while the outer frame is suspended in the
+        # CALL; the outer frame then runs the closure the inner compiled
+        code = asm(Op.CALLDATASIZE, push1(21), Op.JUMPI,  # pc 0..3
+                   push1(0), push1(0), push1(1), push1(0),  # ret/args
+                   push1(0), Op.ADDRESS, Op.GAS, Op.CALL,  # pc 12..16
+                   Op.POP, push1(27), Op.JUMP,             # pc 17..20
+                   Op.JUMPDEST, Op.GAS, Op.POP,            # pc 21..23
+                   push1(27), Op.JUMP,                     # pc 24..26
+                   Op.JUMPDEST, push1(0), Op.SLOAD,        # pc 27..30
+                   push1(1), Op.ADD, push1(0), Op.SSTORE,  # pc 31..36
+                   Op.STOP)                                # pc 37
+        assert code[21] == code[27] == Op.JUMPDEST
+        program = fused_program(code, EV_ALL)
+        assert program.tiers[4] == program.tiers[21] == TIER_INTERP
+        assert program.stats["compiled"] == 0
+        res, m = assert_differential(code)
+        assert res.success
+        assert m.world.account(0xAAA).storage[0] == 2  # both frames ran it
+        assert len(m.trace.calls) == 1
+        assert program.source.count("def B27(") == 1
+        assert program.stats["compiled"] == 2  # B0 and B27
+        assert fusion_stats()["misses"] == 1
+
+    def test_cache_misses_stay_one_per_code_and_mask(self):
+        for _ in range(3):
+            run_code(INTERP_LOOP, block_fusion=True)
+            run_code(INTERP_LOOP, block_fusion=True, event_mask=0)
+        stats = fusion_stats()
+        assert stats["entries_compiled"] == 6  # B0, B9, B11 per mask
+        assert stats["misses"] == 2
+        assert stats["programs"] == 2
 
 
 # -- telemetry ----------------------------------------------------------------

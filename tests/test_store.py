@@ -370,6 +370,27 @@ class TestCheckpointBlobs:
         assert store.load_checkpoint(job) is not None  # blob fallback
         store.close()
 
+    def test_tampered_blob_reads_as_missing(self, tmp_path):
+        """A blob that no longer hashes to its address is never trusted:
+        with the worker file gone, the job resumes fresh."""
+        store = ResultStore(tmp_path, backend="sqlite")
+        job = _job()
+        path = store.save_checkpoint(job, _checkpoint())
+        (sha,) = store.blobs.shas()
+        text = store.blobs.get(sha)
+        assert text is not None
+        path.unlink()  # drop the hardlink, then corrupt the blob itself
+        blob = store.blobs.path_for(sha)
+        tampered = text.replace('"C"', '"D"', 1)
+        assert tampered != text
+        blob.write_text(tampered)
+        assert store.blobs.get(sha) is None
+        assert store.load_checkpoint(job) is None
+        blob.write_bytes(b"\xff\xfe not utf-8")
+        assert store.blobs.get(sha) is None
+        assert store.load_checkpoint(job) is None
+        store.close()
+
     def test_identical_payloads_share_one_blob(self, tmp_path):
         store = ResultStore(tmp_path, backend="sqlite")
         job = _job()
