@@ -29,22 +29,19 @@ address.  The one deliberate asymmetry: when DELEGATECALL is present,
 foreign code can run under this contract's address, so every verdict except
 UD/EF (whose proofs don't depend on what a delegate does) is forced live.
 
-Surfaces are cached process-wide per sha256(code), beside (and shaped
-like) :mod:`repro.evm.analysis`'s code-analysis LRU.
+Surfaces are cached process-wide per sha256(code) in the
+:class:`~repro.cache.ContentCache` named ``surface``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.absint import AbstractFacts, interpret
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.disassembler import disassemble
+from repro.cache import ContentCache
 from repro.evm.opcodes import Op, mnemonic
-from repro.telemetry import metrics as _metrics
 
 #: the nine bug-class codes, in oracle-registry order (plain strings so
 #: this module never imports the oracle package — oracles import analysis)
@@ -110,9 +107,6 @@ class VulnerabilitySurface:
     #: constant storage slots read / written anywhere in the code
     read_slots: tuple
     write_slots: tuple
-    #: analysis wall time (diagnostic only — excluded from to_dict so the
-    #: serialized report stays deterministic)
-    analysis_seconds: float = field(default=0.0, compare=False)
 
     def dead_set(self) -> frozenset:
         """The proved-impossible classes as a frozenset of codes."""
@@ -230,7 +224,6 @@ def _selector_facts(cfg: CFG, facts: AbstractFacts) -> dict:
 def compute_surface(code: bytes) -> VulnerabilitySurface:
     """Analyze ``code`` from scratch (use :func:`surface_for` for the
     cached entry point)."""
-    started = time.perf_counter()
     instructions = disassemble(code)
     ops = frozenset(ins.opcode for ins in instructions)
     cfg = build_cfg(code)
@@ -267,83 +260,17 @@ def compute_surface(code: bytes) -> VulnerabilitySurface:
         calls=tuple(fact.to_dict() for _, fact in sorted(facts.calls.items())),
         read_slots=tuple(sorted(read_slots)),
         write_slots=tuple(sorted(write_slots)),
-        analysis_seconds=time.perf_counter() - started,
     )
 
 
-# -- process-level surface cache (same shape as evm.analysis's LRU) ------------
-
 #: one campaign analyzes one contract, but long-lived pool workers fuzz
-#: many back to back; sized like the code-analysis cache
-CACHE_CAPACITY = 128
-
-_cache: OrderedDict[bytes, VulnerabilitySurface] = OrderedDict()
-#: identity fast path — code bytes live in stable objects
-#: (``artifact.runtime_code``), and the memo entry pins the id by holding
-#: the bytes
-_id_memo: dict[int, tuple] = {}
-_ID_MEMO_CAPACITY = 64
-_hits = 0
-_misses = 0
-_seconds = 0.0
+#: many back to back
+_CACHE = ContentCache("surface", compute_surface, 128)
 
 
 def surface_for(code: bytes) -> VulnerabilitySurface:
     """The (cached) vulnerability surface of ``code``."""
-    global _hits, _misses, _seconds
-    memo = _id_memo.get(id(code))
-    if memo is not None and memo[0] is code:
-        _hits += 1
-        return memo[1]
-    key = hashlib.sha256(code).digest()
-    entry = _cache.get(key)
-    if entry is not None:
-        _hits += 1
-        _cache.move_to_end(key)
-    else:
-        _misses += 1
-        entry = compute_surface(code)
-        _seconds += entry.analysis_seconds
-        _cache[key] = entry
-        while len(_cache) > CACHE_CAPACITY:
-            _cache.popitem(last=False)
-    if len(_id_memo) >= _ID_MEMO_CAPACITY:
-        _id_memo.clear()
-    _id_memo[id(code)] = (code, entry)
-    return entry
-
-
-def cache_stats() -> dict:
-    """Hit/miss counters and current size (tests and benches)."""
-    return {"hits": _hits, "misses": _misses, "entries": len(_cache),
-            "seconds": _seconds}
-
-
-def clear_cache() -> None:
-    """Drop every cached surface and reset the counters."""
-    global _hits, _misses, _seconds
-    _cache.clear()
-    _id_memo.clear()
-    _hits = 0
-    _misses = 0
-    _seconds = 0.0
-
-
-#: telemetry mirrors, filled at snapshot time from the module counters
-#: (surface_for is called once per campaign — cheap — but the collector
-#: idiom keeps the disabled path free and matches evm.analysis)
-_T_HITS = _metrics.counter("analysis.surface_cache.hits")
-_T_MISSES = _metrics.counter("analysis.surface_cache.misses")
-_T_SECONDS = _metrics.gauge("analysis.surface.seconds_total")
-
-
-def _collect_surface_counters() -> None:
-    _T_HITS.set_total(_hits)
-    _T_MISSES.set_total(_misses)
-    _T_SECONDS.set_value(_seconds)
-
-
-_metrics.register_collector(_collect_surface_counters)
+    return _CACHE.get(code)
 
 
 # -- bytecode-level dataflow adapter -------------------------------------------

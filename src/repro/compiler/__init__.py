@@ -11,7 +11,6 @@ from repro.compiler.abi import ContractABI, FunctionABI, encode_call, encode_wor
 from repro.compiler.artifacts import BranchInfo, CompiledContract
 from repro.compiler.cache import (
     CompileCache,
-    clear_compile_cache,
     compile_cache_stats,
     compile_cached,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "CompiledContract",
     "CompileCache",
     "CodeGenerator",
-    "clear_compile_cache",
     "compile_cache_stats",
     "compile_cached",
     "compile_contract",

@@ -3,9 +3,10 @@
 The fuzzing loop builds a fresh :class:`~repro.evm.machine.Machine` for
 every transaction (`chain.Chain.apply`), so any per-instance cache of code
 analysis is cold on every transaction of every iteration.  This module
-hoists that work to a *process-level* LRU cache keyed on ``sha256(code)``:
-one contract's bytecode is scanned exactly once per worker process, no
-matter how many Machines, transactions, or campaign iterations execute it.
+hoists that work to the process-level :class:`~repro.cache.ContentCache`
+named ``analysis``, keyed on ``sha256(code)``: one contract's bytecode
+is scanned exactly once per worker process, no matter how many Machines,
+transactions, or campaign iterations execute it.
 
 ``analyze_code`` returns a :class:`CodeAnalysis` with
 
@@ -35,28 +36,10 @@ values (EVM spec), matching :mod:`repro.analysis.disassembler`.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-
+from repro.cache import ContentCache
 from repro.evm import opcodes
 from repro.evm.handlers import SIMPLE_HANDLERS, make_unhandled
 from repro.evm.opcodes import Op
-from repro.telemetry import metrics as _metrics
-
-#: telemetry mirrors of the hit/miss counters.  analyze_code runs once
-#: per *frame* — far too hot for even a no-op instrument call — so the
-#: mirrors are filled by a snapshot-time collector from the module's own
-#: ``_hits``/``_misses`` ints instead of being incremented per call.
-_T_HITS = _metrics.counter("evm.analysis_cache.hits")
-_T_MISSES = _metrics.counter("evm.analysis_cache.misses")
-
-
-def _collect_cache_counters() -> None:
-    _T_HITS.set_total(_hits)
-    _T_MISSES.set_total(_misses)
-
-
-_metrics.register_collector(_collect_cache_counters)
 
 #: dispatch-entry kinds, ordered roughly by dynamic frequency.  CALL-family
 #: opcodes get their own kind because they recurse into nested frames: the
@@ -64,11 +47,6 @@ _metrics.register_collector(_collect_cache_counters)
 #: (every other kind runs counter-free).
 (KIND_PUSH, KIND_SIMPLE, KIND_DUP, KIND_SWAP,
  KIND_JUMPI, KIND_JUMP, KIND_JUMPDEST, KIND_STOP, KIND_CALL) = range(9)
-
-#: process-level cache bound: far above the distinct codes of any one
-#: campaign (contract under test + agents), sized for long-lived workers
-#: that fuzz many contracts back to back
-CACHE_CAPACITY = 256
 
 
 class CodeAnalysis:
@@ -81,22 +59,6 @@ class CodeAnalysis:
         self.jumpdests = jumpdests
         self.decoded = decoded
         self.code_len = code_len
-
-
-_cache: OrderedDict[bytes, CodeAnalysis] = OrderedDict()
-#: identity fast path over the sha256 cache: code bytes live in stable
-#: objects (``Account.code`` / ``artifact.runtime_code``), so ``id(code)``
-#: is a safe memo key *while the entry holds a strong reference to the
-#: bytes* (which pins the id).  Skips one sha256 per frame.  A bare
-#: ``id(code)`` key is only sound because :class:`CodeAnalysis` is
-#: mask-independent; any layer that specializes per event mask must key
-#: its memo on ``(id(code), mask)`` — see the fused-program memo in
-#: :mod:`repro.evm.fusion`, where two configs sharing one worker process
-#: would otherwise cross-contaminate.
-_id_memo: dict[int, tuple] = {}
-_ID_MEMO_CAPACITY = 64
-_hits = 0
-_misses = 0
 
 
 def _analyze(code: bytes) -> CodeAnalysis:
@@ -148,43 +110,16 @@ def _analyze(code: bytes) -> CodeAnalysis:
     return CodeAnalysis(frozenset(dests), decoded, n)
 
 
-def analyze_code(code: bytes) -> CodeAnalysis:
-    """The (cached) analysis for ``code``."""
-    global _hits, _misses
-    memo = _id_memo.get(id(code))
-    if memo is not None and memo[0] is code:
-        _hits += 1
-        return memo[1]
-    key = hashlib.sha256(code).digest()
-    entry = _cache.get(key)
-    if entry is not None:
-        _hits += 1
-        _cache.move_to_end(key)
-    else:
-        _misses += 1
-        entry = _analyze(code)
-        _cache[key] = entry
-        while len(_cache) > CACHE_CAPACITY:
-            _cache.popitem(last=False)
-    if len(_id_memo) >= _ID_MEMO_CAPACITY:
-        _id_memo.clear()
-    _id_memo[id(code)] = (code, entry)
-    return entry
+#: the process-level cache, sized far above the distinct codes of any one
+#: campaign (contract under test + agents) for long-lived workers that
+#: fuzz many contracts back to back
+_CACHE = ContentCache("analysis", _analyze, 256)
 
-
-def cache_stats() -> dict:
-    """Hit/miss counters and current size (tests and benches)."""
-    return {"hits": _hits, "misses": _misses, "entries": len(_cache)}
-
-
-#: heartbeat-facing name (see :func:`repro.telemetry.progress.snapshot_of`)
-analysis_cache_stats = cache_stats
-
-
-def clear_cache() -> None:
-    """Drop every cached analysis and reset the counters."""
-    global _hits, _misses
-    _cache.clear()
-    _id_memo.clear()
-    _hits = 0
-    _misses = 0
+#: the (cached) analysis of ``code``.  analyze_code runs once per *frame*,
+#: so it is the cache's own ``get`` with no call layer in between.  Its
+#: identity memo keys on ``id(code)`` with no variant, which is only sound
+#: because :class:`CodeAnalysis` is mask-independent; any layer that
+#: specializes per event mask must pass the mask as the variant — see
+#: :func:`repro.evm.fusion.fused_program`, where two configs sharing one
+#: worker process would otherwise cross-contaminate.
+analyze_code = _CACHE.get

@@ -85,22 +85,21 @@ stub everywhere.  The emitted code of an entry does not depend on when it
 compiles, so only entries a campaign actually runs pay for code
 generation.
 
-Programs are cached in a process-level LRU beside
-:mod:`repro.evm.analysis`'s ``CodeAnalysis`` cache — but keyed on the
-event mask as well as the code digest, and the ``id(code)`` fast path
-memo keys on ``(id(code), event_mask)``: a pool worker serving campaigns
-with different oracle subscriptions must never reuse a closure compiled
-for a different mask.
+Programs are cached in the process-level
+:class:`~repro.cache.ContentCache` named ``fusion``, with the event mask
+as the variant: both the sha256 key and the ``id(code)`` memo key carry
+it, so a pool worker serving campaigns with different oracle
+subscriptions never reuses a closure compiled for a different mask.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections import OrderedDict
 
 from repro.analysis.absint import fold_binary
 from repro.analysis.cfg import build_cfg
+from repro.cache import ContentCache
 from repro.evm.analysis import (
     KIND_CALL,
     KIND_DUP,
@@ -204,10 +203,10 @@ TIER_BAILOUT = "bailout"
 
 # -- telemetry ----------------------------------------------------------------
 #
-# Same discipline as evm.analysis / evm.machine: the compile path and the
-# bailout path bump plain module ints (or, for fused steps, a list cell
-# baked into the generated code), and a snapshot-time collector mirrors
-# the totals into the registry's counters.
+# Same discipline as evm.machine: the compile path and the bailout path
+# bump plain module ints (or, for fused steps, a list cell baked into the
+# generated code), and a snapshot-time collector mirrors the totals into
+# the registry's counters.
 
 #: compile-side totals, keyed like :attr:`FusedProgram.stats`: block
 #: tiers are counted when a program is classified, the emit counts
@@ -226,8 +225,6 @@ _T_TOTALS = {
 }
 _T_FUSED_STEPS = _metrics.counter("fusion.fused_steps")
 _T_RT_BAILOUTS = _metrics.counter("fusion.runtime_bailouts")
-_T_HITS = _metrics.counter("fusion.cache.hits")
-_T_MISSES = _metrics.counter("fusion.cache.misses")
 _T_REASONS = {
     "gas_observing": _metrics.counter("fusion.fallback.gas_observing"),
     "raising": _metrics.counter("fusion.fallback.raising"),
@@ -247,8 +244,6 @@ def _collect_fusion_counters() -> None:
         counter.set_total(_totals[key])
     _T_FUSED_STEPS.set_total(_FUSED_STEPS[0])
     _T_RT_BAILOUTS.set_total(_runtime_bailouts)
-    _T_HITS.set_total(_hits)
-    _T_MISSES.set_total(_misses)
     for reason, counter in _T_REASONS.items():
         counter.set_total(_fallback_reasons.get(reason, 0))
 
@@ -1440,41 +1435,12 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
 
 # -- process-level cache ------------------------------------------------------
 
-CACHE_CAPACITY = 256
-_cache: OrderedDict[tuple, FusedProgram] = OrderedDict()
-#: identity fast path, same contract as evm.analysis's memo — but keyed on
-#: ``(id(code), event_mask)``: unlike CodeAnalysis, programs are
-#: mask-specialized, and pool workers interleave campaigns with different
-#: oracle subscriptions over the same code objects
-_id_memo: dict[tuple, tuple] = {}
-_ID_MEMO_CAPACITY = 128
-_hits = 0
-_misses = 0
+_CACHE = ContentCache("fusion", _compile_program, 256)
 
 
 def fused_program(code: bytes, event_mask: int) -> FusedProgram:
     """The (cached) fused program for ``code`` under ``event_mask``."""
-    global _hits, _misses
-    memo_key = (id(code), event_mask)
-    memo = _id_memo.get(memo_key)
-    if memo is not None and memo[0] is code:
-        _hits += 1
-        return memo[1]
-    key = (hashlib.sha256(code).digest(), event_mask)
-    entry = _cache.get(key)
-    if entry is not None:
-        _hits += 1
-        _cache.move_to_end(key)
-    else:
-        _misses += 1
-        entry = _compile_program(code, event_mask)
-        _cache[key] = entry
-        while len(_cache) > CACHE_CAPACITY:
-            _cache.popitem(last=False)
-    if len(_id_memo) >= _ID_MEMO_CAPACITY:
-        _id_memo.clear()
-    _id_memo[memo_key] = (code, entry)
-    return entry
+    return _CACHE.get(code, event_mask)
 
 
 def fusion_stats() -> dict:
@@ -1492,21 +1458,16 @@ def fusion_stats() -> dict:
         "fused_steps": _FUSED_STEPS[0],
         "runtime_bailouts": _runtime_bailouts,
         "fallback_reasons": dict(_fallback_reasons),
-        "hits": _hits,
-        "misses": _misses,
-        "entries": len(_cache),
+        **_CACHE.stats(),
     }
 
 
 def clear_cache() -> None:
     """Drop every cached program and reset the counters (tests)."""
-    global _runtime_bailouts, _hits, _misses
-    _cache.clear()
-    _id_memo.clear()
+    global _runtime_bailouts
+    _CACHE.clear()
     for key in _totals:
         _totals[key] = 0
     _runtime_bailouts = 0
     _fallback_reasons.clear()
     _FUSED_STEPS[0] = 0
-    _hits = 0
-    _misses = 0

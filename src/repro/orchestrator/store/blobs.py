@@ -4,8 +4,10 @@ Blobs live on disk under ``<root>/<sha256[:2]>/<sha256>`` — named by the
 sha256 of their bytes, so identical payloads are stored once no matter how
 many jobs reference them (checkpoints of trials over the same contract
 share most of their corpus).  The blob *files* are immutable and
-self-verifying: :meth:`BlobStore.get` re-hashes what it reads and treats
-a mismatch as a missing blob.  Reference counting lives with whoever owns
+self-verifying: :meth:`BlobStore.get` re-hashes what it reads, and a blob
+that no longer matches its address is quarantined — moved aside to
+``<sha>.corrupt`` — and read as missing, so the next :meth:`put` of the
+same payload writes a good copy.  Reference counting lives with whoever owns
 the references (the SQLite backend keeps a ``blobs`` refcount table and
 calls :meth:`delete` when a sha drops to zero).
 """
@@ -45,12 +47,21 @@ class BlobStore:
 
     def get(self, sha: str) -> str | None:
         """The blob's text, or None when it is missing, unreadable or no
-        longer hashes to ``sha`` (a corrupt blob reads as absent)."""
+        longer hashes to ``sha`` (a corrupt blob is quarantined)."""
+        path = self.path_for(sha)
         try:
-            text = self.path_for(sha).read_text()
-        except (OSError, UnicodeDecodeError):
+            text = path.read_text()
+        except OSError:
             return None
-        return text if self.address(text) == sha else None
+        except UnicodeDecodeError:
+            text = None
+        if text is not None and self.address(text) == sha:
+            return text
+        try:
+            os.replace(path, path.with_name(sha + ".corrupt"))
+        except OSError:  # another reader quarantined it first
+            pass
+        return None
 
     def has(self, sha: str) -> bool:
         return self.path_for(sha).exists()
@@ -78,5 +89,6 @@ class BlobStore:
         os.replace(tmp, dest)
 
     def shas(self) -> set:
-        """Every address currently on disk."""
-        return {path.name for path in self.root.glob("??/*")}
+        """Every address currently on disk (quarantined blobs excluded)."""
+        return {path.name for path in self.root.glob("??/*")
+                if not path.name.endswith(".corrupt")}

@@ -50,7 +50,8 @@ class ProgressSnapshot:
     elapsed_s: float = 0.0
     execs_per_sec: float = 0.0
     txs_per_sec: float = 0.0
-    #: compile/code-analysis cache hit counters for this process
+    #: hit/miss counters of this process's content caches (and of the
+    #: campaign's state cache, when it runs with one)
     cache: dict = field(default_factory=dict)
     #: remaining budget per axis (absent axes are unlimited)
     budget_remaining: dict = field(default_factory=dict)
@@ -69,8 +70,6 @@ def snapshot_of(fuzzer) -> ProgressSnapshot:
 
     Pure observation: reads counters and aggregates, mutates nothing.
     """
-    from repro.compiler.cache import compile_cache_stats
-    from repro.evm.analysis import analysis_cache_stats
     from repro.telemetry import spans
 
     budget = fuzzer.budget
@@ -85,8 +84,6 @@ def snapshot_of(fuzzer) -> ProgressSnapshot:
     if budget.max_wall_clock is not None:
         remaining["wall_clock_s"] = round(
             max(0.0, budget.max_wall_clock - elapsed), 3)
-    compile_stats = compile_cache_stats()
-    analysis_stats = analysis_cache_stats()
     state = getattr(fuzzer, "_state", None)
     return ProgressSnapshot(
         stage=spans.current_stage(),
@@ -101,21 +98,21 @@ def snapshot_of(fuzzer) -> ProgressSnapshot:
                        if elapsed > 0 else 0.0),
         txs_per_sec=(round(budget.transactions_used / elapsed, 1)
                      if elapsed > 0 else 0.0),
-        cache=_cache_stats(fuzzer, compile_stats, analysis_stats),
+        cache=_cache_stats(fuzzer),
         budget_remaining=remaining,
     )
 
 
-def _cache_stats(fuzzer, compile_stats: dict, analysis_stats: dict) -> dict:
-    """The snapshot's cache block: process-wide compile/analysis caches
-    plus (when the campaign runs with one) the prefix-snapshot state
-    cache's effectiveness counters."""
-    cache = {
-        "compile_hits": compile_stats["hits"],
-        "compile_misses": compile_stats["misses"],
-        "analysis_hits": analysis_stats["hits"],
-        "analysis_misses": analysis_stats["misses"],
-    }
+def _cache_stats(fuzzer) -> dict:
+    """The snapshot's cache block: ``<name>_hits`` / ``<name>_misses`` of
+    every process-wide content cache plus (when the campaign runs with
+    one) the prefix-snapshot state cache's effectiveness counters."""
+    from repro.cache import CACHES
+
+    cache = {}
+    for name, content_cache in CACHES.items():
+        cache[f"{name}_hits"] = content_cache.hits
+        cache[f"{name}_misses"] = content_cache.misses
     state_cache = getattr(fuzzer, "state_cache", None)
     if state_cache is not None:
         cache["state_hits"] = state_cache.hits

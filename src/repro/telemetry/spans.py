@@ -1,7 +1,7 @@
 """Span-based stage tracing: per-span wall-time/count aggregation.
 
 A :class:`Span` is a module-level singleton context manager wrapping one
-named region of the pipeline (``engine.execution``, ``compile.compile``,
+named region of the pipeline (``engine.execution``, ``checkpoint.write``,
 ``chain.journal_reset``, ...).  Entering and leaving a span accumulates
 into two numbers — entry count and total wall seconds — rather than
 appending per-event log records, so a span wrapped around a region that

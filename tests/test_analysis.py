@@ -9,7 +9,6 @@ from repro.analysis import (
     jumpi_pcs,
     PrefixAnalyzer,
 )
-from repro.analysis import surface as surface_mod
 from repro.analysis.surface import (
     BUG_CLASS_CODES,
     SurfaceDataflow,
@@ -21,6 +20,7 @@ from repro.analysis.distance import (
     distances_from_trace,
     seed_distance,
 )
+from repro.cache import CACHES
 from repro.compiler import compile_source
 from repro.evm.opcodes import Op
 from repro.evm.trace import BranchEvent, ExecutionTrace
@@ -423,12 +423,12 @@ class TestSurfaceDeadLivePairs:
 
 class TestSurfaceCache:
     def test_cache_hits_on_same_code(self):
-        surface_mod.clear_cache()
+        CACHES["surface"].clear()
         artifact = compile_source(CROWDSALE_SOURCE)
         first = surface_for(artifact.runtime_code)
         second = surface_for(artifact.runtime_code)
         assert first is second
-        stats = surface_mod.cache_stats()
+        stats = CACHES["surface"].stats()
         assert stats["hits"] >= 1 and stats["misses"] >= 1
 
     def test_cached_surface_equals_fresh_compute(self):

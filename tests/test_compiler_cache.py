@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import CACHES
 from repro.compiler import compile_source
 from repro.compiler.cache import (
     CompileCache,
-    clear_compile_cache,
     compile_cache_stats,
     compile_cached,
 )
@@ -33,7 +33,8 @@ class TestCompileCache:
         assert cache.hits == 1
 
     def test_lru_evicts_the_oldest_entry(self):
-        cache = CompileCache(maxsize=1)
+        cache = CompileCache()
+        cache.capacity = 1
         cache.get(CROWDSALE_SOURCE)
         cache.get(GAME_SOURCE)     # evicts Crowdsale
         cache.get(CROWDSALE_SOURCE)  # miss again
@@ -56,13 +57,13 @@ class TestCompileCache:
         assert sorted(cached.branch_info) == sorted(fresh.branch_info)
 
     def test_module_level_cache_counts_and_clears(self):
-        clear_compile_cache()
-        before = compile_cache_stats()
-        assert before == {"hits": 0, "misses": 0, "size": 0}
+        empty = {"hits": 0, "misses": 0, "entries": 0, "build_seconds": 0.0}
+        CACHES["compile"].clear()
+        assert compile_cache_stats() == empty
         compile_cached(CROWDSALE_SOURCE)
         compile_cached(CROWDSALE_SOURCE)
         after = compile_cache_stats()
         assert after["hits"] == 1 and after["misses"] == 1
-        assert after["size"] == 1
-        clear_compile_cache()
-        assert compile_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
+        assert after["entries"] == 1
+        CACHES["compile"].clear()
+        assert compile_cache_stats() == empty

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evm import analysis
+from repro.cache import CACHES
 from repro.evm.analysis import (
     KIND_CALL,
     KIND_DUP,
@@ -20,9 +20,9 @@ from repro.evm.opcodes import OPCODE_INFO, Op
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    analysis.clear_cache()
+    CACHES["analysis"].clear()
     yield
-    analysis.clear_cache()
+    CACHES["analysis"].clear()
 
 
 class TestDecodedStream:
@@ -75,27 +75,6 @@ class TestDecodedStream:
 
 
 class TestProcessLevelCache:
-    def test_same_code_analyzed_once(self):
-        code = bytes([Op.CALLER, Op.STOP])
-        first = analyze_code(code)
-        # equal-but-distinct bytes objects share the sha256-keyed entry
-        assert analyze_code(bytes([Op.CALLER, Op.STOP])) is first
-        stats = analysis.cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        assert stats["entries"] == 1
-
-    def test_identity_fast_path_hits(self):
-        code = bytes([Op.CALLER, Op.STOP])
-        first = analyze_code(code)
-        assert analyze_code(code) is first  # id-memo, no re-hash
-        assert analysis.cache_stats()["hits"] == 1
-
-    def test_capacity_is_bounded(self):
-        for i in range(analysis.CACHE_CAPACITY + 10):
-            analyze_code(bytes([0x61]) + i.to_bytes(2, "big") + bytes([0x00]))
-        assert analysis.cache_stats()["entries"] == analysis.CACHE_CAPACITY
-
     def test_shared_across_machines(self):
         from repro.chain.blockchain import BlockContext
         from repro.chain.state import WorldState
@@ -109,4 +88,4 @@ class TestProcessLevelCache:
             msg = Message(address=0xAAA, caller=0xB, origin=0xB, value=0,
                           data=b"", gas=10 ** 6, code=code)
             assert machine.execute(msg).success
-        assert analysis.cache_stats()["misses"] == 1
+        assert CACHES["analysis"].misses == 1

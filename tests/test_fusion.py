@@ -341,14 +341,6 @@ class TestCache:
         assert stats["misses"] == 2
         assert stats["hits"] == 6
 
-    def test_equal_code_different_object_hits_sha_cache(self):
-        code = asm(push1(3), Op.POP, Op.STOP)
-        first = fused_program(code, 0)
-        clone = bytes(bytearray(code))
-        assert clone is not code
-        assert fused_program(clone, 0) is first
-        assert fusion_stats()["misses"] == 1
-
     def test_empty_code_has_no_entry(self):
         program = fused_program(b"", 0)
         assert isinstance(program, FusedProgram)

@@ -36,6 +36,7 @@ from repro.orchestrator.store import (
     finding_fingerprint,
     resolve_store_backend,
 )
+from repro.orchestrator.store.blobs import BlobStore
 
 BACKEND_NAMES = ("json", "sqlite")
 
@@ -389,6 +390,35 @@ class TestCheckpointBlobs:
         blob.write_bytes(b"\xff\xfe not utf-8")
         assert store.blobs.get(sha) is None
         assert store.load_checkpoint(job) is None
+        store.close()
+
+    def test_corrupt_blob_is_quarantined_and_repaired_by_put(self, tmp_path):
+        """A blob that fails verification is moved aside, so saving the
+        same payload again writes a good copy instead of reusing the bad
+        file forever."""
+        blobs = BlobStore(tmp_path / "blobs")
+        sha = blobs.put("payload\n")
+        blobs.path_for(sha).write_text("tampered\n")
+        assert blobs.get(sha) is None
+        assert blobs.path_for(sha).with_name(sha + ".corrupt").exists()
+        assert blobs.shas() == set()
+        assert blobs.put("payload\n") == sha
+        assert blobs.get(sha) == "payload\n"
+        assert blobs.shas() == {sha}
+
+    def test_resaving_repairs_a_corrupt_checkpoint(self, tmp_path):
+        store = ResultStore(tmp_path, backend="sqlite")
+        job = _job()
+        path = store.save_checkpoint(job, _checkpoint())
+        (sha,) = store.blobs.shas()
+        text = store.blobs.get(sha)
+        path.unlink()
+        store.blobs.path_for(sha).write_text(text.replace('"C"', '"D"', 1))
+        assert store.load_checkpoint(job) is None
+        path = store.save_checkpoint(job, _checkpoint())
+        assert path.read_text() == text  # relinked to the good blob
+        path.unlink()
+        assert store.load_checkpoint(job) is not None
         store.close()
 
     def test_identical_payloads_share_one_blob(self, tmp_path):

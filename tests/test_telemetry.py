@@ -310,6 +310,21 @@ class TestProgressSnapshots:
         assert beat.stage is not None
 
 
+    def test_cache_block_covers_every_content_cache(self):
+        from repro.cache import CACHES
+        from repro.core.fuzzer import Fuzzer
+        from repro.telemetry.progress import snapshot_of
+        fuzzer = Fuzzer(CROWDSALE_SOURCE, _job().build_config())
+        fuzzer.run()
+        cache = snapshot_of(fuzzer).cache
+        assert set(CACHES) == {"compile", "analysis", "surface", "fusion"}
+        for name, content_cache in CACHES.items():
+            assert cache[f"{name}_hits"] == content_cache.hits
+            assert cache[f"{name}_misses"] == content_cache.misses
+        assert cache["surface_hits"] + cache["surface_misses"] > 0
+        assert cache["fusion_hits"] + cache["fusion_misses"] > 0
+
+
 class TestHeartbeatPlumbing:
     def test_timeout_outcome_carries_last_heartbeat(self):
         """A worker killed mid-job leaves its dying heartbeat on the
