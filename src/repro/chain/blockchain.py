@@ -60,7 +60,7 @@ class Chain:
     def __init__(self, world: WorldState | None = None,
                  max_steps: int = 200_000,
                  event_mask: int = EV_ALL, oracle_bus=None,
-                 block_fusion: bool | None = None) -> None:
+                 block_fusion: bool = True) -> None:
         self.world = world if world is not None else WorldState()
         self.block = BlockContext()
         self.max_steps = max_steps
@@ -71,8 +71,7 @@ class Chain:
         #: attached to every transaction machine (never to deployments:
         #: oracles observe transactions, not constructor runs)
         self.oracle_bus = oracle_bus
-        #: block-fusion tier toggle forwarded to every Machine; None defers
-        #: to the library default (REPRO_BLOCK_FUSION)
+        #: block-fusion tier toggle forwarded to every Machine
         self.block_fusion = block_fusion
         self._next_contract = CONTRACT_ADDRESS_BASE
         self.receipts: list[TransactionReceipt] = []

@@ -82,31 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "all nine, 'none' = coverage only). The "
                            "machine skips materializing trace events no "
                            "selected oracle subscribes to")
-    fuzz.add_argument("--state-cache", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="prefix-snapshot state cache: memoize "
-                           "post-prefix chain states and fast-forward "
-                           "shared prefixes instead of re-executing them "
-                           "(default: on; a pure performance layer — "
-                           "results are byte-identical either way)")
-    fuzz.add_argument("--surface-pruning",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="drop oracles whose bug class the vulnerability "
-                           "surface proves impossible (whole-code opcode "
-                           "absence, never a reachability heuristic) "
-                           "(default: on; results are byte-identical "
-                           "either way)")
-    fuzz.add_argument("--state-cache-capacity", type=int, default=None,
-                      metavar="N",
-                      help="memoized prefix states to keep (default: 64; "
-                           "leaf-first LRU eviction beyond that)")
-    fuzz.add_argument("--block-fusion",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="block-fused EVM execution: compile basic "
-                           "blocks into superinstruction closures with "
-                           "per-block gas prepay, constant folding, and "
-                           "threaded jumps (default: on; results are "
-                           "byte-identical either way)")
     fuzz.add_argument("--metrics", default=None, metavar="FILE",
                       help="collect telemetry during the campaign "
                            "(provably inert: results are byte-identical "
@@ -151,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--workers", type=int, default=None,
                       help="worker processes (default: all CPU cores; "
                            "1 = inline, no subprocesses — unless "
-                           "--job-timeout forces isolation)")
+                           "--job-timeout or --recycle-after needs the "
+                           "pool)")
     camp.add_argument("--results-dir", default=None,
                       help="persist per-job results here and skip "
                            "already-completed jobs on rerun")
@@ -168,46 +144,24 @@ def build_parser() -> argparse.ArgumentParser:
                            "measured from dispatch to a worker process — "
                            "a worker's first job also absorbs ~1s of "
                            "interpreter startup (every job does under "
-                           "--backend spawn)")
-    camp.add_argument("--backend", choices=("pool", "spawn", "inline"),
+                           "--recycle-after 1)")
+    camp.add_argument("--backend", choices=("pool", "inline"),
                       default=None,
                       help="execution backend (default: pool — persistent "
                            "workers with per-worker compile caches; inline "
-                           "auto-selected at --workers 1 with no timeout). "
-                           "spawn = one process per job, maximum "
-                           "isolation; inline = no subprocesses. Results "
+                           "= no subprocesses, auto-selected at --workers "
+                           "1 with no timeout and no recycling). Results "
                            "are byte-identical across backends")
     camp.add_argument("--recycle-after", type=int, default=None,
                       metavar="K",
                       help="pool backend: retire and respawn each worker "
                            "after K jobs to bound per-process memory "
-                           "growth")
+                           "growth; 1 = a fresh process per job, maximum "
+                           "isolation")
     camp.add_argument("--oracles", default=None, metavar="CLASSES",
                       help="restrict every campaign to these bug classes "
                            "(comma-separated codes, e.g. RE,IO; 'all' = "
                            "all nine, 'none' = coverage only)")
-    camp.add_argument("--state-cache", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="pin the prefix-snapshot state cache on or off "
-                           "for every campaign in the matrix (default: "
-                           "the config default, on; results are "
-                           "byte-identical either way)")
-    camp.add_argument("--state-cache-capacity", type=int, default=None,
-                      metavar="N",
-                      help="per-campaign memoized prefix states to keep "
-                           "(default: 64)")
-    camp.add_argument("--block-fusion",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="pin block-fused EVM execution on or off for "
-                           "every campaign in the matrix (default: the "
-                           "config default, on; results are byte-identical "
-                           "either way)")
-    camp.add_argument("--surface-pruning",
-                      action=argparse.BooleanOptionalAction, default=None,
-                      help="pin surface-proof oracle pruning on or off for "
-                           "every campaign in the matrix (default: the "
-                           "config default, on; results are byte-identical "
-                           "either way)")
     camp.add_argument("--telemetry", action="store_true",
                       help="collect per-job telemetry and worker "
                            "heartbeats; with --results-dir the scheduler "
@@ -389,17 +343,6 @@ def cmd_fuzz(args) -> int:
         return 2
     if bug_classes is not None:
         overrides["bug_classes"] = bug_classes
-    if args.state_cache is not None:
-        overrides["use_state_cache"] = args.state_cache
-    if args.state_cache_capacity is not None:
-        if args.state_cache_capacity < 1:
-            log.error("error: --state-cache-capacity must be >= 1")
-            return 2
-        overrides["state_cache_capacity"] = args.state_cache_capacity
-    if args.surface_pruning is not None:
-        overrides["use_surface_pruning"] = args.surface_pruning
-    if args.block_fusion is not None:
-        overrides["use_block_fusion"] = args.block_fusion
     config = PRESET_CONFIGS[args.fuzzer](rng_seed=args.seed, **overrides)
 
     session = None
@@ -507,26 +450,21 @@ def cmd_campaign(args) -> int:
     except ValueError as exc:
         log.error(f"error: --oracles: {exc}")
         return 2
-    if args.state_cache_capacity is not None and args.state_cache_capacity < 1:
-        log.error("error: --state-cache-capacity must be >= 1")
-        return 2
     contracts = _campaign_contracts(args)
     workers = resolve_workers(args.workers)
-    if args.backend is None and args.recycle_after:
-        backend = "pool"  # a pool-only knob implies the pool backend
-    else:
-        backend = args.backend or backend_for(workers, args.job_timeout)
+    backend = args.backend or backend_for(workers, args.job_timeout,
+                                          args.recycle_after)
     if backend == "inline" and args.job_timeout is not None:
         log.error("error: the inline backend cannot enforce "
-                  "--job-timeout; use --backend pool or spawn")
+                  "--job-timeout; use --backend pool")
         return 2
     if args.recycle_after is not None and args.recycle_after < 0:
         log.error("error: --recycle-after must be >= 1 "
                   "(0 disables recycling)")
         return 2
-    if args.recycle_after and backend != "pool":
-        log.error(f"error: --recycle-after only applies to the pool "
-                  f"backend (got {backend})")
+    if args.recycle_after and backend == "inline":
+        log.error("error: the inline backend cannot honour "
+                  "--recycle-after; use --backend pool")
         return 2
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         log.error("error: --checkpoint-every must be >= 1")
@@ -574,10 +512,6 @@ def cmd_campaign(args) -> int:
         job_timeout=args.job_timeout, progress=progress,
         backend=backend, recycle_after=args.recycle_after,
         checkpoint_every=args.checkpoint_every, oracles=oracles,
-        state_cache=args.state_cache,
-        state_cache_capacity=args.state_cache_capacity,
-        surface_pruning=args.surface_pruning,
-        block_fusion=args.block_fusion,
         telemetry=telemetry, store=args.store)
 
     if run.results_dir is not None:

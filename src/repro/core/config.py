@@ -75,30 +75,28 @@ class FuzzerConfig:
     # which is how real fuzzers cover the dispatcher's failure edges
     fallback_probability: float = 0.05
 
+    # The three performance tiers.  Each is a pure performance layer: the
+    # golden-fixture guard pins campaign results byte-identical with any
+    # of them on or off, so they default on and these fields are the one
+    # place to switch them (all three off is the reference path).  They
+    # stay config fields because store records and checkpoints persist
+    # the config and resume rebuilds it with ``FuzzerConfig(**config)``.
+    #
     # §VI future-work optimization: the prefix-snapshot tree memoizes
     # post-prefix chain states as journal redo deltas and fast-forwards
-    # shared prefixes instead of re-executing them.  On by default: the
-    # cache is a pure performance layer (campaign results are
-    # byte-identical with it on or off — the golden-fixture guard pins
-    # this), so the benchmarked behaviour stays faithful to the paper
-    # while iterations get cheaper.
+    # shared prefixes instead of re-executing them.
     use_state_cache: bool = True
     state_cache_capacity: int = 64
 
     # Vulnerability-surface oracle pruning: oracles whose bug class the
     # static surface *proves* impossible (whole-code opcode absence, never
     # reachability — see repro.analysis.surface) are dropped from the bus,
-    # so their event kinds are never materialized.  On by default and
-    # opt-out (--no-surface-pruning): the golden-fixture guard pins
-    # campaign results byte-identical with pruning on or off.
+    # so their event kinds are never materialized.
     use_surface_pruning: bool = True
 
     # Block-fused EVM execution: basic blocks compile to superinstruction
     # closures (per-block gas/step prepay, baked PUSH immediates, constant
-    # folding, threaded PUSH+JUMP links — see repro.evm.fusion).  On by
-    # default and opt-out (--no-block-fusion / REPRO_BLOCK_FUSION=0): a
-    # pure performance tier, pinned byte-identical on or off by the
-    # golden-fixture guard.
+    # folding, threaded PUSH+JUMP links — see repro.evm.fusion).
     use_block_fusion: bool = True
 
     # execution environment

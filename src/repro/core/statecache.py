@@ -43,8 +43,8 @@ recorded steps, their transactions still consume campaign budget, and
 their trace events are re-dispatched through the oracle bus
 (:meth:`~repro.oracles.bus.OracleBus.replay_transaction`) — campaign
 results are byte-identical with the cache on or off, which is why
-``FuzzerConfig.use_state_cache`` now defaults to True and checkpoints
-simply rebuild the cache cold on resume.
+``FuzzerConfig.use_state_cache`` defaults to True and checkpoints simply
+rebuild the cache cold on resume.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ The prefix-snapshot state cache (§VI) is deliberately *not* part of a
 checkpoint: it is a pure accelerator whose hits produce byte-identical
 results to cold execution, so a resumed campaign simply rebuilds it cold
 — the first post-resume visits re-learn hot prefixes and results stay
-pinned to the golden fixture either way (CI runs the interrupt/resume
-sweep with ``REPRO_STATE_CACHE=1`` to prove it).
+pinned to the golden fixture either way (the interrupt/resume golden
+test runs with the cache on and off to prove it).
 """
 
 from __future__ import annotations

@@ -95,7 +95,6 @@ subscriptions never reuses a closure compiled for a different mask.
 from __future__ import annotations
 
 import hashlib
-import os
 
 from repro.analysis.absint import fold_binary
 from repro.analysis.cfg import build_cfg
@@ -150,18 +149,6 @@ from repro.evm.trace import (
 from repro.telemetry import metrics as _metrics
 
 WORD = 1 << 256
-
-#: ``REPRO_BLOCK_FUSION=0`` disables the tier process-wide (library default
-#: when a Machine is built without an explicit ``block_fusion`` argument).
-#: Read once at import: spawn workers re-import this module, so the
-#: override propagates to every execution backend.
-_DEFAULT_ENABLED = os.environ.get("REPRO_BLOCK_FUSION", "1") != "0"
-
-
-def default_enabled() -> bool:
-    """Library-level default for ``Machine(block_fusion=None)``."""
-    return _DEFAULT_ENABLED
-
 
 class _BailoutSentinel:
     __slots__ = ()

@@ -166,7 +166,7 @@ class Machine:
 
     def __init__(self, world, block, max_steps: int = 200_000,
                  event_mask: int = EV_ALL, bus=None,
-                 block_fusion: bool | None = None) -> None:
+                 block_fusion: bool = True) -> None:
         self.world = world
         self.block = block
         self.max_steps = max_steps
@@ -176,8 +176,7 @@ class Machine:
         #: sync it just before the raising handler so the Revert catch can
         #: report the exact refund the table loop would have
         self._sync_gas = 0
-        self.block_fusion = (fusion.default_enabled() if block_fusion is None
-                             else block_fusion)
+        self.block_fusion = block_fusion
         self._executed = False
         self._active_addresses: list[int] = []
         self.bus = bus

@@ -1,21 +1,20 @@
 """Pluggable execution backends for the campaign orchestrator.
 
-Three strategies for pushing a batch of :class:`CampaignJob`s through the
-machine, all settling byte-identical results:
+Two strategies for pushing a batch of :class:`CampaignJob`s through the
+machine, both settling byte-identical results:
 
 ``inline``
     everything in the calling process — the debugging mode and the
-    determinism reference; no isolation, no timeouts.
-``spawn``
-    one OS process per job — maximum isolation, pays interpreter boot +
-    import + compile per cell.
+    determinism reference; no isolation, no timeouts, no recycling.
 ``pool`` (default)
     persistent workers pulling jobs from the scheduler, each with a warm
-    per-process compile cache — amortizes startup and compilation while
-    keeping spawn's timeout/crash guarantees via kill-and-respawn.
+    per-process compile cache, with per-job timeouts and crash isolation
+    via kill-and-respawn.  ``recycle_after=1`` is the isolation mode: a
+    fresh process per job, nothing surviving between jobs.
 
 ``create_backend(None, ...)`` auto-selects: inline for the explicit
-single-worker no-timeout debugging mode, otherwise the pool.
+single-worker debugging mode (no timeout, no recycling), otherwise the
+pool.
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ from repro.orchestrator.backends.base import (
 )
 from repro.orchestrator.backends.inline import InlineBackend
 from repro.orchestrator.backends.pool import PoolBackend
-from repro.orchestrator.backends.spawn import SpawnBackend
 
 #: registry: CLI choice / ``run_matrix(backend=...)`` name -> class
 BACKENDS = {
     InlineBackend.name: InlineBackend,
-    SpawnBackend.name: SpawnBackend,
     PoolBackend.name: PoolBackend,
 }
 
@@ -42,10 +39,13 @@ DEFAULT_BACKEND = PoolBackend.name
 
 
 def backend_for(workers: int | None = None,
-                job_timeout: float | None = None) -> str:
-    """Auto-selected backend name: inline for the single-worker
-    no-timeout debugging mode (no subprocesses), otherwise the pool."""
-    if job_timeout is None and resolve_workers(workers) <= 1:
+                job_timeout: float | None = None,
+                recycle_after: int | None = None) -> str:
+    """Auto-selected backend name: inline for the single-worker debugging
+    mode (no subprocesses), otherwise the pool — which a timeout or a
+    recycling quota always needs, whatever the worker count."""
+    if (job_timeout is None and not recycle_after
+            and resolve_workers(workers) <= 1):
         return InlineBackend.name
     return DEFAULT_BACKEND
 
@@ -62,7 +62,7 @@ def create_backend(name: str | None = None, *, workers: int | None = None,
     """Instantiate a backend by name (``None`` = auto, see
     :func:`backend_for`)."""
     if name is None:
-        name = backend_for(workers, job_timeout)
+        name = backend_for(workers, job_timeout, recycle_after)
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -105,7 +105,6 @@ __all__ = [
     "InlineBackend",
     "PoolBackend",
     "SchedulerCore",
-    "SpawnBackend",
     "backend_for",
     "create_backend",
     "execute_job",

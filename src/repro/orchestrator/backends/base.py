@@ -7,10 +7,11 @@ Three pieces live here because every backend needs them:
   (:func:`repro.compiler.compile_cached`);
 * :class:`ExecutionBackend` — the protocol a backend implements (validate
   the batch, run it, expose run-level ``stats``);
-* :class:`SchedulerCore` — the result-side bookkeeping the process-based
-  backends (spawn, pool) share: the spawn context, the shared results
-  queue, first-wins settlement, and a *blocking* drain that sleeps in
-  ``Queue.get(timeout=...)`` instead of spinning on a poll interval.
+* :class:`SchedulerCore` — the result-side bookkeeping of a
+  process-based scheduler (today the pool): the ``spawn`` start-method
+  context, the shared results queue, first-wins settlement, and a
+  *blocking* drain that sleeps in ``Queue.get(timeout=...)`` instead of
+  spinning on a poll interval.
 """
 
 from __future__ import annotations
@@ -153,9 +154,9 @@ class ExecutionBackend:
 
     Subclasses set :attr:`name` and implement ``_run(jobs, progress)``
     returning one :class:`JobOutcome` per job **in job order**.  All
-    backends accept the same knobs; the ones that do not apply to a given
-    backend are ignored (``recycle_after`` outside the pool) or rejected
-    (``job_timeout`` on inline, which cannot kill anything).
+    backends accept the same knobs; a backend rejects the ones it cannot
+    honour (inline has no process to kill on ``job_timeout`` or to retire
+    on ``recycle_after``) instead of silently ignoring them.
     """
 
     name = "abstract"
@@ -279,15 +280,16 @@ class ExecutionBackend:
 
 
 class SchedulerCore:
-    """Result-side state shared by the process-based schedulers.
+    """Result-side state of a process-based scheduler.
 
-    Owns the ``spawn`` context, the shared results queue, and settlement:
-    first outcome wins (a result racing a timeout termination must not
-    settle the same job twice — double progress callbacks and a final
-    state contradicting the live log), and the drain tolerates the mangled
-    queue items a worker terminated mid-``put`` can leave behind (the
-    documented multiprocessing caveat) — the owning job settles via the
-    timeout or crash path instead of taking the whole matrix down.
+    Owns the ``spawn`` start-method context, the shared results queue,
+    and settlement: first outcome wins (a result racing a timeout
+    termination must not settle the same job twice — double progress
+    callbacks and a final state contradicting the live log), and the drain
+    tolerates the mangled queue items a worker terminated mid-``put`` can
+    leave behind (the documented multiprocessing caveat) — the owning job
+    settles via the timeout or crash path instead of taking the whole
+    matrix down.
     """
 
     def __init__(self, jobs, progress=None,
@@ -326,7 +328,7 @@ class SchedulerCore:
             heartbeat=self.heartbeats.get(job_id)))
 
     def settle_dead_worker(self, job_id: str, exitcode, started: float,
-                           handler=None, label: str = "worker") -> None:
+                           handler=None) -> None:
         """A worker died holding ``job_id``: a clean exit (code 0) always
         queued its result first, so grace-drain for it; a nonzero exit
         (crash, OOM kill) never will, so only collect what is already
@@ -339,7 +341,7 @@ class SchedulerCore:
         if job_id not in self.settled:
             self.settle(JobOutcome(
                 job=self.by_id[job_id], status="error",
-                error=f"{label} died with exit code {exitcode} before "
+                error=f"worker died with exit code {exitcode} before "
                       f"reporting a result",
                 elapsed=time.monotonic() - started,
                 heartbeat=self.heartbeats.get(job_id)))

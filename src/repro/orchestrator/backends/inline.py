@@ -1,8 +1,8 @@
 """The inline backend: every job in the calling process.
 
-No subprocesses, no isolation, no timeouts — this is the debugging mode
-and the reference the determinism guard compares the process-based
-backends against.  It still compiles through the process-local compile
+No subprocesses, no isolation, no timeouts, no recycling — this is the
+debugging mode and the reference the determinism guard compares the pool
+backend against.  It still compiles through the process-local compile
 cache, so repeated cells over the same contract amortize compilation
 exactly like a pool worker does.
 """
@@ -36,7 +36,11 @@ class InlineBackend(ExecutionBackend):
         if self.job_timeout is not None:
             raise ValueError(
                 "the inline backend cannot enforce a wall-clock job "
-                "timeout (nothing to kill); use the spawn or pool backend")
+                "timeout (nothing to kill); use the pool backend")
+        if self.recycle_after is not None:
+            raise ValueError(
+                "the inline backend cannot honour recycle_after (there is "
+                "no worker process to retire); use the pool backend")
 
     def _run(self, jobs, progress) -> list:
         # with no worker process, heartbeats flow straight from the

@@ -9,7 +9,7 @@ cell.
 
 The scheduler dispatches exactly one job at a time to each worker over a
 per-worker queue, so it always knows which job a worker holds — the
-invariant that makes the spawn backend's guarantees portable:
+invariant behind the pool's guarantees:
 
 * **timeouts** — a worker overrunning the per-job wall-clock budget is
   terminated, its in-flight job settles as ``timeout`` (never requeued),
@@ -19,10 +19,12 @@ invariant that makes the spawn backend's guarantees portable:
 * **recycling** — with ``recycle_after=K`` a worker is retired after
   completing K jobs and replaced fresh, bounding per-process memory
   growth on long matrices (at the cost of a cold compile cache).
+  ``recycle_after=1`` is the isolation mode: every job runs in a fresh
+  process and no state of any kind survives between jobs.
 
-Results are byte-identical to the inline and spawn backends at any worker
-count: job seeds derive from job identity alone, and compiled artifacts
-are immutable, so cache reuse cannot leak state between cells.  The
+Results are byte-identical to the inline backend at any worker count:
+job seeds derive from job identity alone, and compiled artifacts are
+immutable, so cache reuse cannot leak state between cells.  The
 determinism guard in the test suite enforces this.
 """
 
@@ -137,8 +139,7 @@ class PoolBackend(ExecutionBackend):
                 elif not worker.proc.is_alive():
                     core.settle_dead_worker(job_id, worker.proc.exitcode,
                                             worker.started,
-                                            handler=on_wire,
-                                            label="pool worker")
+                                            handler=on_wire)
                     retire(worker, kill=True)
 
         try:

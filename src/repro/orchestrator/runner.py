@@ -219,7 +219,6 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                tx_budget: int | None = None,
                oracles=None,
                state_cache: bool | None = None,
-               state_cache_capacity: int | None = None,
                surface_pruning: bool | None = None,
                block_fusion: bool | None = None,
                telemetry: bool = False,
@@ -230,11 +229,13 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
 
     ``results_dir=None`` keeps everything in memory (no persistence,
     nothing skipped).  ``workers=None`` uses ``os.cpu_count()``.
-    ``backend`` picks the execution backend (``inline``, ``spawn``, or
-    ``pool``; ``None`` auto-selects — inline for the single-worker
-    no-timeout debugging mode, otherwise the default pool).  Results are
-    byte-identical across backends and worker counts.  ``recycle_after``
-    retires each pool worker after that many jobs to bound memory growth.
+    ``backend`` picks the execution backend (``inline`` or ``pool``;
+    ``None`` auto-selects — inline for the single-worker debugging mode
+    with no timeout and no recycling, otherwise the default pool).
+    Results are byte-identical across backends and worker counts.
+    ``recycle_after`` retires each pool worker after that many jobs to
+    bound memory growth; ``recycle_after=1`` runs every job in a fresh
+    process (the isolation mode).
 
     ``time_budget``/``tx_budget`` are per-campaign budget specs folded
     into every job's config (combined with the iteration budget by the
@@ -250,15 +251,12 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
     restriction participates in result fingerprints and checkpoints.  Use
     ``supported`` instead to model *per-preset* tool capability sets.
 
-    ``state_cache``/``state_cache_capacity`` pin the prefix-snapshot
-    state cache (``use_state_cache``/``state_cache_capacity`` config
-    overrides) for every campaign in the matrix; ``None`` leaves the
-    config default (cache on).  The cache is a pure performance layer —
-    results are byte-identical either way.  ``surface_pruning`` likewise
-    pins ``use_surface_pruning`` (oracle pruning from the vulnerability
-    surface's opcode-absence proofs) with the same byte-identity
-    guarantee, and ``block_fusion`` pins ``use_block_fusion`` (the
-    superinstruction execution tier of :mod:`repro.evm.fusion`).
+    ``state_cache``/``surface_pruning``/``block_fusion`` pin the
+    ``use_state_cache``/``use_surface_pruning``/``use_block_fusion``
+    config fields for every campaign in the matrix; ``None`` leaves the
+    config default (on).  The three tiers are pure performance layers —
+    results are byte-identical either way — so all three off is the
+    reference path fast paths are checked against.
 
     ``telemetry=True`` collects per-job metrics/span deltas (merged into
     ``MatrixRun.stats.telemetry``, embedded in result records) and turns
@@ -283,11 +281,10 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
             raise ValueError("oracles given both directly and as a "
                              "bug_classes override; pass it one way")
         overrides["bug_classes"] = list(normalize_bug_classes(oracles))
-    if (state_cache is not None or state_cache_capacity is not None
-            or surface_pruning is not None or block_fusion is not None):
+    if (state_cache is not None or surface_pruning is not None
+            or block_fusion is not None):
         overrides = dict(overrides or {})
         for key, value in (("use_state_cache", state_cache),
-                           ("state_cache_capacity", state_cache_capacity),
                            ("use_surface_pruning", surface_pruning),
                            ("use_block_fusion", block_fusion)):
             if value is None:

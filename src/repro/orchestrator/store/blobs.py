@@ -92,3 +92,7 @@ class BlobStore:
         """Every address currently on disk (quarantined blobs excluded)."""
         return {path.name for path in self.root.glob("??/*")
                 if not path.name.endswith(".corrupt")}
+
+    def quarantined(self) -> int:
+        """How many quarantined ``<sha>.corrupt`` files are on disk."""
+        return sum(1 for _ in self.root.glob("??/*.corrupt"))

@@ -434,6 +434,11 @@ class SqliteResultStore(StoreBackend):
                 self.blobs.delete(sha)
         return len(orphans)
 
+    def stats_dict(self) -> dict:
+        stats = super().stats_dict()
+        stats["blobs_quarantined"] = self.blobs.quarantined()
+        return stats
+
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:

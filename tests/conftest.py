@@ -69,6 +69,12 @@ ALICE = 0xA11CE
 BOB = 0xB0B
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end test (deselect with "
+                   "-m 'not slow')")
+
+
 @pytest.fixture(scope="session")
 def crowdsale_artifact():
     return compile_source(CROWDSALE_SOURCE)

@@ -121,7 +121,7 @@ class TestCli:
 
     def test_campaign_rejects_recycle_after_off_pool(self, crowdsale_file):
         assert main(["campaign", crowdsale_file, "--fuzzers", "mufuzz",
-                     "--trials", "1", "--backend", "spawn",
+                     "--trials", "1", "--backend", "inline",
                      "--recycle-after", "5"]) == 2
 
     def test_campaign_on_corpus_sample(self, capsys, tmp_path):

@@ -6,9 +6,9 @@ have to come out byte-identical to the pre-overhaul implementation.  The
 committed fixture ``tests/data/golden_campaign.json`` was generated with
 the straight-line interpreter and fork-per-iteration reset (post
 semantics-bugfixes); this test replays the same matrix on every execution
-backend and asserts the canonical JSON still matches, so a dispatch-table
-or journal-reset regression that silently changes results is caught — not
-just one that crashes.
+backend × performance-tier setting and asserts the canonical JSON still
+matches, so a dispatch-table, journal-reset or tier regression that
+silently changes results is caught — not just one that crashes.
 
 Regenerate (only after an *intentional* semantics change):
 
@@ -39,28 +39,23 @@ WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 PRESETS = ("mufuzz", "sfuzz")
 OVERRIDES = {"iterations": 30, "rng_seed": 11}
 
-# The prefix-snapshot state cache is a pure performance layer and defaults
-# to on; REPRO_STATE_CACHE pins it explicitly ("1" = on, "0" = off) so CI
-# can sweep the whole golden matrix in both modes against the *same*
-# fixture — the byte-identity guarantee that justifies the default.
-_STATE_CACHE = os.environ.get("REPRO_STATE_CACHE")
-if _STATE_CACHE is not None:
-    OVERRIDES["use_state_cache"] = _STATE_CACHE == "1"
+#: the state cache, surface pruning and block fusion are pure performance
+#: layers, so every tier setting must settle the *same* fixture; all-on is
+#: the config default and all-off the reference path
+TIERS = {
+    "all-on": {},
+    "cache-off": {"use_state_cache": False},
+    "prune-off": {"use_surface_pruning": False},
+    "fuse-off": {"use_block_fusion": False},
+    "all-off": {"use_state_cache": False, "use_surface_pruning": False,
+                "use_block_fusion": False},
+}
 
-# Same contract for surface-proof oracle pruning: dropping oracles whose
-# bug class the vulnerability surface proves impossible must not move a
-# single byte of the results.  REPRO_SURFACE_PRUNING pins it so CI sweeps
-# both modes against the one fixture.
-_SURFACE_PRUNING = os.environ.get("REPRO_SURFACE_PRUNING")
-if _SURFACE_PRUNING is not None:
-    OVERRIDES["use_surface_pruning"] = _SURFACE_PRUNING == "1"
-
-# And for block-fused execution: superinstruction closures must replay
-# the exact table-loop semantics (gas, steps, events, errors), so the
-# whole golden matrix sweeps byte-identical fused and unfused.
-_BLOCK_FUSION = os.environ.get("REPRO_BLOCK_FUSION")
-if _BLOCK_FUSION is not None:
-    OVERRIDES["use_block_fusion"] = _BLOCK_FUSION == "1"
+#: backend × tier cells; the default tiers keep the bare backend name as id
+BACKEND_TIERS = [pytest.param(backend, tier,
+                              id=backend if tier == "all-on"
+                              else f"{backend}-{tier}")
+                 for backend in sorted(BACKENDS) for tier in TIERS]
 
 
 def _golden_contracts() -> list:
@@ -80,14 +75,43 @@ def _canonical_run(backend: str, **extra_overrides) -> str:
     return canonical_json(record)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_backend_matches_golden_fixture(backend):
+@pytest.mark.parametrize("backend, tier", BACKEND_TIERS)
+def test_backend_matches_golden_fixture(backend, tier):
     assert GOLDEN_PATH.exists(), \
         "golden fixture missing — see module docstring to regenerate"
-    assert _canonical_run(backend) == GOLDEN_PATH.read_text(), \
-        (f"{backend} backend diverged from the golden campaign fixture; "
-         f"if the semantics change was intentional, regenerate it "
-         f"(see module docstring)")
+    assert _canonical_run(backend, **TIERS[tier]) == \
+        GOLDEN_PATH.read_text(), \
+        (f"{backend} backend with tiers {tier} diverged from the golden "
+         f"campaign fixture; if the semantics change was intentional, "
+         f"regenerate it (see module docstring)")
+
+
+def _assert_toggle_transparent(tier: str, on: bool) -> None:
+    """Flip ``tier`` alone from either end of the matrix — off with the
+    other tiers on, or on with the other tiers off — and require the
+    golden bytes: a performance tier may never change a result."""
+    (field,) = TIERS[f"{tier}-off"]
+    overrides = {**TIERS["all-off"], field: True} if on else {field: False}
+    assert _canonical_run("inline", **overrides) == \
+        GOLDEN_PATH.read_text(), \
+        f"{field}={on} alone diverged from the golden campaign fixture"
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["cache-off", "cache-on"])
+def test_state_cache_is_transparent_to_golden_fixture(on):
+    _assert_toggle_transparent("cache", on)
+
+
+@pytest.mark.parametrize("on", [False, True],
+                         ids=["pruning-off", "pruning-on"])
+def test_surface_pruning_is_transparent_to_golden_fixture(on):
+    _assert_toggle_transparent("prune", on)
+
+
+@pytest.mark.parametrize("on", [False, True],
+                         ids=["fusion-off", "fusion-on"])
+def test_block_fusion_is_transparent_to_golden_fixture(on):
+    _assert_toggle_transparent("fuse", on)
 
 
 @pytest.mark.parametrize("store_backend", ("json", "sqlite"))
@@ -128,10 +152,13 @@ def test_store_backend_transparent_to_golden_fixture(store_backend,
              f"per-file reference layout")
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
+@pytest.mark.parametrize("backend, tier", BACKEND_TIERS)
+def test_interrupted_matrix_resumes_to_golden_fixture(backend, tier,
+                                                      tmp_path):
     """Interrupt/resume determinism against the golden fixture, swept
-    across every execution backend.
+    across every execution backend × tier setting (the state cache
+    rebuilds cold on resume; resumed frames may bail out of a fused
+    block to the table loop).
 
     Every golden cell is interrupted at an arbitrary mid-campaign
     iteration: the campaign runs inline with a checkpoint sink that aborts
@@ -146,8 +173,9 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
     from repro.orchestrator.jobs import build_matrix
     from repro.orchestrator.store import ResultStore
 
+    overrides = {**OVERRIDES, **TIERS[tier]}
     jobs = build_matrix(_golden_contracts(), PRESETS, trials=1,
-                        overrides=dict(OVERRIDES))
+                        overrides=overrides)
     store = ResultStore(tmp_path / "results")
 
     class Interrupt(Exception):
@@ -173,7 +201,7 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
     assert store.checkpoint_ids() == {job.job_id for job in jobs}
 
     run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
-                     overrides=dict(OVERRIDES), workers=WORKERS,
+                     overrides=overrides, workers=WORKERS,
                      backend=backend, results_dir=store.root,
                      checkpoint_every=7)
     assert not run.errors and not run.timeouts, (backend, run.errors)
@@ -181,53 +209,41 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tmp_path):
     record = {o.job.job_id: {**o.result.to_dict(), "wall_time": 0.0}
               for o in run.outcomes}
     assert canonical_json(record) == GOLDEN_PATH.read_text(), \
-        (f"{backend} backend resumed-from-checkpoint results diverged "
-         f"from the golden campaign fixture")
+        (f"{backend} backend with tiers {tier} resumed-from-checkpoint "
+         f"results diverged from the golden campaign fixture")
 
 
-@pytest.mark.parametrize("use_cache", [False, True],
-                         ids=["cache-off", "cache-on"])
-def test_state_cache_is_transparent_to_golden_fixture(use_cache):
-    """One fixture, both cache modes: the prefix-snapshot tree must leave
-    campaign results byte-identical whether prefixes are re-executed or
-    fast-forwarded (this is the guard behind ``use_state_cache=True`` by
-    default)."""
-    assert GOLDEN_PATH.exists(), \
-        "golden fixture missing — see module docstring to regenerate"
-    got = _canonical_run("inline", use_state_cache=use_cache)
-    assert got == GOLDEN_PATH.read_text(), \
-        (f"use_state_cache={use_cache} diverged from the golden fixture — "
-         f"the state cache is supposed to be a pure performance layer")
+@pytest.mark.parametrize("tier", ["cache", "prune", "fuse"])
+def test_tier_does_work_only_when_on(tier):
+    """Byte-identity cannot see a tier that has quietly become a no-op, so
+    each tier's own work counter must move in a real campaign with the
+    tier on and stay still with it off: state-cache hits, oracles pruned
+    on a d2 contract whose surface has dead classes (with a narrower
+    event mask), and fused entries compiled."""
+    from repro.compiler.cache import compile_cached
+    from repro.core import statecache
+    from repro.core.config import preset_config
+    from repro.core.fuzzer import Fuzzer
+    from repro.evm import fusion
 
-
-@pytest.mark.parametrize("use_pruning", [False, True],
-                         ids=["pruning-off", "pruning-on"])
-def test_surface_pruning_is_transparent_to_golden_fixture(use_pruning):
-    """One fixture, both pruning modes: oracles dropped on the surface's
-    opcode-absence proofs could never have fired, so campaign results must
-    stay byte-identical with pruning on or off (the guard behind
-    ``use_surface_pruning=True`` by default)."""
-    assert GOLDEN_PATH.exists(), \
-        "golden fixture missing — see module docstring to regenerate"
-    got = _canonical_run("inline", use_surface_pruning=use_pruning)
-    assert got == GOLDEN_PATH.read_text(), \
-        (f"use_surface_pruning={use_pruning} diverged from the golden "
-         f"fixture — pruned oracles must be provably-dead, never merely "
-         f"unlikely")
-
-
-@pytest.mark.parametrize("use_fusion", [False, True],
-                         ids=["fusion-off", "fusion-on"])
-def test_block_fusion_is_transparent_to_golden_fixture(use_fusion):
-    """One fixture, both execution tiers: block-fused superinstruction
-    closures must leave campaign results byte-identical to the per-opcode
-    table loop (the guard behind ``use_block_fusion=True`` by default)."""
-    assert GOLDEN_PATH.exists(), \
-        "golden fixture missing — see module docstring to regenerate"
-    got = _canonical_run("inline", use_block_fusion=use_fusion)
-    assert got == GOLDEN_PATH.read_text(), \
-        (f"use_block_fusion={use_fusion} diverged from the golden fixture "
-         f"— fused blocks must replay the table loop's exact semantics")
+    (field,) = TIERS[f"{tier}-off"]
+    contract = generate_d2()[0]
+    artifact = compile_cached(contract.source, contract.name)
+    work, masks = {}, {}
+    for on in (True, False):
+        fusion.clear_cache()  # programs compile afresh for this campaign
+        hits = statecache._hits_total
+        fuzzer = Fuzzer(artifact, preset_config(
+            "mufuzz", iterations=60, rng_seed=11, **{field: on}))
+        fuzzer.run()
+        work[on] = {"cache": statecache._hits_total - hits,
+                    "prune": len(fuzzer.bus.pruned),
+                    "fuse": fusion.fusion_stats()["entries_compiled"]}[tier]
+        masks[on] = fuzzer.base_chain.event_mask
+    assert work[True] > 0 and work[False] == 0, (tier, work)
+    if tier == "prune":  # pruned oracles' event kinds are never recorded
+        assert masks[True] != masks[False]
+        assert masks[True] & ~masks[False] == 0
 
 
 def test_golden_findings_replay_from_witnesses():

@@ -210,20 +210,27 @@ class TestRunMatrix:
 
 class TestBackends:
     """The pluggable execution backends: registry and auto-selection,
-    the three-way determinism guard, compile-cache amortization, worker
+    the inline/pool determinism guard, compile-cache amortization, worker
     recycling, and timeout kill-and-respawn."""
 
     def test_registry_and_auto_selection(self):
-        assert set(BACKENDS) == {"inline", "spawn", "pool"}
+        assert set(BACKENDS) == {"inline", "pool"}
         assert backend_for(workers=1, job_timeout=None) == "inline"
         assert backend_for(workers=4, job_timeout=None) == "pool"
         assert backend_for(workers=1, job_timeout=5.0) == "pool"
+        # a recycling quota needs worker processes: never dropped silently
+        assert backend_for(workers=1, recycle_after=0) == "inline"
+        assert backend_for(workers=1, recycle_after=1) == "pool"
+        engine = create_backend(None, workers=1, recycle_after=1)
+        assert engine.name == "pool" and engine.recycle_after == 1
         with pytest.raises(ValueError, match="unknown execution backend"):
             create_backend("nonesuch")
 
     def test_inline_rejects_job_timeout(self):
         with pytest.raises(ValueError, match="inline"):
             create_backend("inline", job_timeout=1.0)
+        with pytest.raises(ValueError, match="recycle_after"):
+            create_backend("inline", recycle_after=1)
 
     def test_invalid_recycle_after_rejected(self):
         with pytest.raises(ValueError, match="recycle_after"):
@@ -253,29 +260,34 @@ class TestBackends:
             persisted[backend] = ResultStore(results_dir) \
                 .canonical_records()
         assert len(persisted["inline"]) == 8
-        assert persisted["inline"] == persisted["spawn"] == \
-            persisted["pool"]
+        assert persisted["inline"] == persisted["pool"]
 
     @pytest.mark.skipif(os.environ.get("REPRO_TEST_WORKERS") is not None,
-                        reason="wall-clock comparison: once per suite is "
-                               "enough; skip in the CI worker sweep")
-    def test_pool_amortizes_compilation_and_beats_spawn(self):
+                        reason="worker-count independent: once per suite "
+                               "is enough; skip in the CI worker sweep")
+    def test_pool_amortizes_compilation_and_isolates_at_recycle_one(self):
         """20 cells over 2 contracts: each pool worker compiles each
-        contract at most once (hits >= cells - contracts x workers), and
-        skipping per-job interpreter boot + import + compile makes the
-        pool measurably faster than spawn at the same worker count."""
+        contract at most once (hits >= cells - contracts x workers);
+        ``recycle_after=1`` is the isolation mode — a fresh process per
+        job, so every compile cache starts cold — and settles the same
+        results."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
         kw = dict(presets=("mufuzz", "sfuzz"), trials=5, overrides=FAST,
-                  workers=2)
-        pool = run_matrix(contracts, backend="pool", **kw)
-        spawn = run_matrix(contracts, backend="spawn", **kw)
-        assert not pool.errors and not spawn.errors
-        assert pool.executed == spawn.executed == 20
+                  workers=2, backend="pool")
+        pool = run_matrix(contracts, **kw)
+        isolated = run_matrix(contracts, recycle_after=1, **kw)
+        assert not pool.errors and not isolated.errors
+        assert pool.executed == isolated.executed == 20
         assert pool.stats["compile_cache_hits"] >= 20 - 2 * 2
         assert pool.stats["compile_cache_misses"] <= 2 * 2
-        assert spawn.stats["compile_cache_hits"] == 0  # always-cold caches
-        assert pool.elapsed < spawn.elapsed, \
-            f"pool {pool.elapsed:.2f}s vs spawn {spawn.elapsed:.2f}s"
+        assert isolated.stats["compile_cache_hits"] == 0
+        assert isolated.stats["compile_cache_misses"] == 20
+        # every worker is retired after its job, bar the last per worker
+        assert isolated.stats["workers_recycled"] >= 20 - 2
+        assert ([o.result.to_dict() | {"wall_time": 0.0}
+                 for o in pool.outcomes]
+                == [o.result.to_dict() | {"wall_time": 0.0}
+                    for o in isolated.outcomes])
 
     def test_pool_recycles_workers_after_quota(self):
         jobs = build_matrix([("Crowdsale", CROWDSALE_SOURCE)],
@@ -290,32 +302,19 @@ class TestBackends:
         assert engine.stats["compile_cache_hits"] == 3
 
     def test_pool_timeout_kills_worker_and_queue_continues(self):
+        """Timeout kill, a captured per-job error, and unaffected
+        neighbours, all in one pool run."""
         hang = _job(name="Hang", overrides={"iterations": 50_000_000})
+        broken = _job(name="Broken", source=BROKEN_SOURCE)
         fast = [_job(trial=t) for t in range(4)]
         engine = create_backend("pool", workers=2, job_timeout=2.0)
-        outcomes = engine.run([hang] + fast)
+        outcomes = engine.run([hang, broken] + fast)
         by_id = {o.job.job_id: o for o in outcomes}
         assert by_id["Hang__mufuzz__t000"].status == "timeout"
         assert "timeout" in by_id["Hang__mufuzz__t000"].error
-        assert all(o.ok for job_id, o in by_id.items()
-                   if job_id != "Hang__mufuzz__t000")
-        assert engine.stats["workers_killed"] == 1
-
-    def test_spawn_timeout_and_error_parity(self):
-        """The spawn backend keeps the guarantees the pool advertises as
-        'everything spawn guarantees': timeout kill, captured per-job
-        errors, and unaffected neighbours — tested on spawn explicitly
-        now that run_jobs auto-selects the pool."""
-        hang = _job(name="Hang", overrides={"iterations": 50_000_000})
-        broken = _job(name="Broken", source=BROKEN_SOURCE)
-        engine = create_backend("spawn", workers=2, job_timeout=2.0)
-        outcomes = engine.run([hang, broken, _job()])
-        by_name = {o.job.name: o for o in outcomes}
-        assert by_name["Hang"].status == "timeout"
-        assert "timeout" in by_name["Hang"].error
-        assert by_name["Broken"].status == "error"
-        assert "Traceback" in by_name["Broken"].error
-        assert by_name["Crowdsale"].ok
+        assert by_id["Broken__mufuzz__t000"].status == "error"
+        assert "Traceback" in by_id["Broken__mufuzz__t000"].error
+        assert all(o.ok for o in outcomes if o.job.name == "Crowdsale")
         assert engine.stats["workers_killed"] == 1
 
     def test_pool_isolates_a_broken_job(self):
@@ -332,7 +331,7 @@ class TestBackends:
 
 
 class TestParallelExecution:
-    """The worker-pool path: spawn processes, crash capture, timeouts, and
+    """The worker-pool path: worker processes, crash capture, timeouts, and
     the determinism guard — parallel runs must persist byte-identical
     results to a serial run of the same matrix."""
 

@@ -385,7 +385,9 @@ class TestCheckpointBlobs:
         tampered = text.replace('"C"', '"D"', 1)
         assert tampered != text
         blob.write_text(tampered)
+        assert store.stats_dict()["blobs_quarantined"] == 0
         assert store.blobs.get(sha) is None
+        assert store.stats_dict()["blobs_quarantined"] == 1
         assert store.load_checkpoint(job) is None
         blob.write_bytes(b"\xff\xfe not utf-8")
         assert store.blobs.get(sha) is None
@@ -399,8 +401,10 @@ class TestCheckpointBlobs:
         blobs = BlobStore(tmp_path / "blobs")
         sha = blobs.put("payload\n")
         blobs.path_for(sha).write_text("tampered\n")
+        assert blobs.quarantined() == 0
         assert blobs.get(sha) is None
         assert blobs.path_for(sha).with_name(sha + ".corrupt").exists()
+        assert blobs.quarantined() == 1
         assert blobs.shas() == set()
         assert blobs.put("payload\n") == sha
         assert blobs.get(sha) == "payload\n"
