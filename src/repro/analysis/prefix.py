@@ -95,11 +95,6 @@ class PrefixAnalyzer:
         self._cache[jumpi_pc] = result
         return result
 
-    def vulnerable_reachable(self, jumpi_pc: int, taken: bool) -> frozenset:
-        """Vulnerable opcodes reachable in the ``taken`` direction."""
-        reach = self.reachability(jumpi_pc)
-        return reach.taken if taken else reach.fallthrough
-
     def nested_scores(self, branch_path) -> dict:
         """Nested score per branch pc along one exercised path.
 

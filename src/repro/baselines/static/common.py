@@ -162,11 +162,6 @@ class _AnalysisTimeout(Exception):
 # -- small opcode-path predicates shared by the bytecode tools -----------------
 
 
-def path_opcodes(path) -> list:
-    """Opcode list of a path."""
-    return [ins.opcode for ins in path]
-
-
 def contains_in_order(path, first: int, second: int) -> bool:
     """True when opcode ``first`` occurs before ``second`` on the path."""
     seen_first = False

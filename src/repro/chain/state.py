@@ -75,9 +75,6 @@ class WorldState:
         self._journal.append(("balance", address, acct.balance))
         acct.balance = value
 
-    def add_balance(self, address: int, amount: int) -> None:
-        self.set_balance(address, self.get_balance(address) + amount)
-
     def transfer(self, sender: int, recipient: int, amount: int) -> None:
         """Move ``amount`` wei; raises :class:`InsufficientBalance` if short."""
         if amount == 0:

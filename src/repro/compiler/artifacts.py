@@ -55,8 +55,3 @@ class CompiledContract:
     def total_branches(self) -> int:
         """Total JUMPI direction count (the branch-coverage denominator)."""
         return 2 * len(self.branch_info)
-
-    def branch_line(self, pc: int) -> int:
-        """Source line of the JUMPI at ``pc`` (0 if unknown)."""
-        info = self.branch_info.get(pc)
-        return info.line if info else self.srcmap.get(pc, 0)

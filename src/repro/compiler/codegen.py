@@ -839,8 +839,3 @@ def compile_source(source: str, contract_name: str | None = None
     else:
         contract = unit.contract(contract_name)
     return compile_contract(contract, source)
-
-
-def encode_constructor_args(values) -> bytes:
-    """Encode constructor arguments (plain argument words, no selector)."""
-    return encode_words(values)

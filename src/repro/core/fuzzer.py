@@ -247,13 +247,6 @@ class Fuzzer:
         # in O(touched slots) instead of deep-copying the world every round
         chain.mark_base()
 
-    def _harvest_constants(self) -> tuple:
-        """The mutation dictionary: wide PUSH immediates plus constants the
-        code compares against input-derived values (how real fuzzers cross
-        magic-value guards).  Harvested by the vulnerability surface —
-        see :func:`repro.analysis.surface.compute_surface`."""
-        return self.surface.dictionary_constants
-
     # -- seed construction ----------------------------------------------------------
 
     def _fresh_seed(self) -> Seed:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.codegen import compile_source
-from repro.oracles.base import BugClass
 
 
 @dataclass
@@ -31,9 +30,6 @@ class GeneratedContract:
     @property
     def instruction_count(self) -> int:
         return self.artifact.instruction_count
-
-    def has_bug(self, bug_class: BugClass) -> bool:
-        return bug_class in self.expected_bugs
 
 
 def compile_corpus(contracts) -> list:

@@ -54,12 +54,6 @@ class Shadow:
     dist_true: int | None = None
     dist_false: int | None = None
 
-    def with_taints(self, extra: frozenset) -> "Shadow":
-        """A copy of this shadow with ``extra`` taints unioned in."""
-        if not extra:
-            return self
-        return Shadow(self.taints | extra, self.dist_true, self.dist_false)
-
     def negated(self) -> "Shadow":
         """Shadow of ISZERO(value): distances swap, taints persist."""
         return Shadow(self.taints, self.dist_false, self.dist_true)

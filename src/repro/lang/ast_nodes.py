@@ -357,12 +357,6 @@ class ContractDef:
                 return fn
         raise KeyError(f"no function {name!r} in contract {self.name}")
 
-    def state_var(self, name: str) -> StateVarDecl:
-        for var in self.state_vars:
-            if var.name == name:
-                return var
-        raise KeyError(f"no state variable {name!r} in contract {self.name}")
-
 
 @dataclass
 class SourceUnit:

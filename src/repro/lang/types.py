@@ -22,10 +22,6 @@ class Type:
     def is_mapping(self) -> bool:
         return self.kind == "mapping"
 
-    @property
-    def is_signed(self) -> bool:
-        return self.kind == "int"
-
     def __str__(self) -> str:
         if self.is_mapping:
             return f"mapping({self.key} => {self.value})"

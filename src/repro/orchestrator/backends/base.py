@@ -238,10 +238,9 @@ class ExecutionBackend:
         str}``), or None when mid-campaign checkpointing is off."""
         if not self.checkpoint_every or self.checkpoint_dir is None:
             return None
-        from repro.orchestrator.store import CHECKPOINT_SUFFIX
-        path = os.path.join(str(self.checkpoint_dir),
-                            f"{job.job_id}{CHECKPOINT_SUFFIX}")
-        return {"every": int(self.checkpoint_every), "path": path}
+        from repro.orchestrator.store import checkpoint_path
+        return {"every": int(self.checkpoint_every),
+                "path": str(checkpoint_path(self.checkpoint_dir, job))}
 
     def telemetry_transport(self) -> dict | None:
         """The telemetry envelope dispatched with every job (``None``

@@ -23,12 +23,9 @@ from repro.orchestrator.store import ResultStore, atomic_write_text
 class RunStats:
     """Typed run-level statistics for one matrix run.
 
-    Replaces the former untyped ``MatrixRun.stats`` dict; keeps
-    dict-style ``get``/``[]``/``in`` access so existing consumers (bench
-    recorders, tests) read it unchanged.  ``to_wire()`` is the canonical
-    serialization the BENCH_orchestrator.json writers embed — it includes
-    the derived rates (execs/sec, txs/sec, cache hit rate) alongside the
-    raw counters.
+    ``to_wire()`` is the canonical serialization the
+    BENCH_orchestrator.json writers embed — it includes the derived rates
+    (execs/sec, txs/sec, cache hit rate) alongside the raw counters.
     """
 
     #: execution backend name the fresh cells ran on
@@ -82,25 +79,6 @@ class RunStats:
                    elapsed=elapsed,
                    telemetry=getattr(engine, "telemetry_totals", None),
                    **fields)
-
-    # -- dict-style compatibility ------------------------------------------------
-
-    def get(self, key: str, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __getitem__(self, key: str):
-        if key in self.__dataclass_fields__ or key in (
-                "cache_hit_rate", "execs_per_sec", "txs_per_sec"):
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def __contains__(self, key: str) -> bool:
-        return (key in self.__dataclass_fields__
-                or key in ("cache_hit_rate", "execs_per_sec",
-                           "txs_per_sec"))
 
 
 @dataclass

@@ -8,11 +8,14 @@ Two interchangeable backends behind one interface
     export format (:mod:`~repro.orchestrator.store.jsonfile`).
 ``sqlite``
     one WAL-mode ``results.db`` with batched writes, an indexed findings
-    projection, indexed resume, and content-addressed checkpoint blobs
-    (:mod:`~repro.orchestrator.store.sqlite`) — for matrix scale.
+    projection and indexed resume (:mod:`~repro.orchestrator.store.sqlite`)
+    — for matrix scale.
 
 Both persist the **same canonical record text** (wire schema 2), so a
-store can be exported/read back across backends byte-identically.
+store can be exported/read back across backends byte-identically.  Both
+keep mid-campaign checkpoints the same way: one plain
+``<job_id>.checkpoint.json`` file under the root, written, read and
+consumed by the workers themselves (:class:`CheckpointSession`).
 
 :func:`ResultStore` is the constructor everything uses.  Backend choice:
 an explicit ``backend=`` argument wins; otherwise an existing store under
@@ -37,6 +40,7 @@ from repro.orchestrator.store.base import (
     StoreBackend,
     atomic_write_text,
     build_record,
+    checkpoint_path,
     clear_checkpoint_file,
     finding_fingerprint,
     finding_rows_from_record,
@@ -44,16 +48,15 @@ from repro.orchestrator.store.base import (
     sweep_stale_temps,
     write_checkpoint_file,
 )
-from repro.orchestrator.store.blobs import BlobStore
 from repro.orchestrator.store.jsonfile import JsonResultStore
 from repro.orchestrator.store.sqlite import DB_NAME, SqliteResultStore
 
 __all__ = ["ResultStore", "CheckpointSession", "canonical_json",
            "write_checkpoint_file", "read_checkpoint_file",
-           "clear_checkpoint_file", "CHECKPOINT_SUFFIX",
+           "clear_checkpoint_file", "checkpoint_path", "CHECKPOINT_SUFFIX",
            "TELEMETRY_SUFFIX", "LIVE_TELEMETRY_NAME",
            "StoreBackend", "JsonResultStore", "SqliteResultStore",
-           "BlobStore", "STORE_BACKENDS", "resolve_store_backend",
+           "STORE_BACKENDS", "resolve_store_backend",
            "atomic_write_text", "sweep_stale_temps", "build_record",
            "finding_fingerprint", "finding_rows_from_record",
            "SCHEMA_VERSION", "DEFAULT_STORE"]

@@ -13,11 +13,13 @@ not a store).
 :class:`StoreBackend` is the interface contract: a backend persists
 canonical records keyed by ``job_id``, answers resume queries
 (:meth:`~StoreBackend.load_fresh` / :meth:`~StoreBackend.fresh_ids`),
-exposes the findings projection (:meth:`~StoreBackend.query_findings`),
-and owns the mid-campaign checkpoint lifecycle.  Whatever the storage
-engine, :meth:`~StoreBackend.canonical_records` must return byte-identical
-text for the same outcomes — the golden-fixture tests hold both backends
-to that.
+and exposes the findings projection (:meth:`~StoreBackend.query_findings`).
+Whatever the storage engine, :meth:`~StoreBackend.canonical_records` must
+return byte-identical text for the same outcomes — the golden-fixture
+tests hold both backends to that.  Mid-campaign checkpoints are not
+records: on every backend they are the plain files named by
+:func:`checkpoint_path`, which workers write, read and consume through
+:class:`CheckpointSession`.
 """
 
 from __future__ import annotations
@@ -252,6 +254,11 @@ def finding_rows_from_record(record: dict) -> list:
 
 # -- checkpoint files (module-level: workers hold a path, not a store) --------
 
+def checkpoint_path(root, job: CampaignJob) -> Path:
+    """Where ``job``'s mid-campaign checkpoint lives under ``root``."""
+    return Path(root) / f"{job.job_id}{CHECKPOINT_SUFFIX}"
+
+
 def write_checkpoint_file(path, checkpoint: CampaignCheckpoint,
                           fingerprint: str) -> None:
     """Atomically persist one campaign checkpoint with its owner's
@@ -265,13 +272,13 @@ def write_checkpoint_file(path, checkpoint: CampaignCheckpoint,
         atomic_write_text(path, canonical_json(record))
 
 
-def checkpoint_from_record_text(text: str,
-                                fingerprint: str) -> CampaignCheckpoint | None:
-    """Parse a checkpoint record; None when mangled or stale (fingerprint
-    mismatch — the job's source/config/seed changed since it was taken)."""
+def read_checkpoint_file(path, fingerprint: str) -> CampaignCheckpoint | None:
+    """Load a checkpoint file; None when absent, mangled (including bytes
+    that are not UTF-8), or stale (fingerprint mismatch — the job's
+    source/config/seed changed since it was taken)."""
     try:
-        record = json.loads(text)
-    except ValueError:
+        record = json.loads(Path(path).read_text())
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     if (not isinstance(record, dict)
             or record.get("schema") != SCHEMA_VERSION
@@ -281,15 +288,6 @@ def checkpoint_from_record_text(text: str,
         return CampaignCheckpoint.from_dict(record["checkpoint"])
     except (KeyError, ValueError, TypeError, IndexError):
         return None
-
-
-def read_checkpoint_file(path, fingerprint: str) -> CampaignCheckpoint | None:
-    """Load a checkpoint file; None when absent, mangled, or stale."""
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return None
-    return checkpoint_from_record_text(text, fingerprint)
 
 
 def clear_checkpoint_file(path) -> None:
@@ -347,7 +345,10 @@ class StoreBackend:
     :meth:`completed_ids`, :meth:`canonical_records`, and
     :meth:`delete_record`; everything else has a correct (if unindexed)
     default built on those.  ``flush``/``close`` are no-ops for backends
-    that write through immediately.
+    that write through immediately.  Checkpoints are the same on every
+    backend: the store only names a job's checkpoint file
+    (:meth:`checkpoint_path_for`) and drops a leftover one
+    (:meth:`clear_checkpoint`).
     """
 
     #: backend key as selected by ``--store`` / ``REPRO_STORE``
@@ -398,17 +399,6 @@ class StoreBackend:
         same text for the same outcomes, whatever their storage engine.
         """
         raise NotImplementedError
-
-    def record_for(self, job_id: str) -> dict | None:
-        """The parsed record for ``job_id`` (None when absent/mangled)."""
-        text = self.canonical_records().get(job_id)
-        if text is None:
-            return None
-        try:
-            record = json.loads(text)
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
 
     def delete_record(self, job_id: str) -> bool:
         """Drop one record (and its projection rows); True if it existed."""
@@ -489,25 +479,10 @@ class StoreBackend:
     # path), so they never contend with the scheduler's record writes.
 
     def checkpoint_path_for(self, job: CampaignJob) -> Path:
-        return self.root / f"{job.job_id}{CHECKPOINT_SUFFIX}"
-
-    def save_checkpoint(self, job: CampaignJob,
-                        checkpoint: CampaignCheckpoint) -> Path:
-        path = self.checkpoint_path_for(job)
-        write_checkpoint_file(path, checkpoint, job.fingerprint())
-        return path
-
-    def load_checkpoint(self, job: CampaignJob) -> CampaignCheckpoint | None:
-        return read_checkpoint_file(self.checkpoint_path_for(job),
-                                    job.fingerprint())
+        return checkpoint_path(self.root, job)
 
     def clear_checkpoint(self, job: CampaignJob) -> None:
         clear_checkpoint_file(self.checkpoint_path_for(job))
-
-    def checkpoint_ids(self) -> set:
-        """Job ids with a pending mid-campaign checkpoint."""
-        return {path.name[:-len(CHECKPOINT_SUFFIX)]
-                for path in self.root.glob(f"*{CHECKPOINT_SUFFIX}")}
 
     # -- observability --------------------------------------------------------
 

@@ -81,14 +81,6 @@ class JsonResultStore(StoreBackend):
                 continue
         return out
 
-    def record_for(self, job_id: str) -> dict | None:
-        # direct read: no need to load every record to parse one
-        try:
-            record = json.loads((self.root / f"{job_id}.json").read_text())
-        except (OSError, ValueError):
-            return None
-        return record if isinstance(record, dict) else None
-
     def delete_record(self, job_id: str) -> bool:
         path = self.root / f"{job_id}.json"
         try:

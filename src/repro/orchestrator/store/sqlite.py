@@ -18,13 +18,10 @@ backend writes — and :meth:`~repro.orchestrator.store.base.StoreBackend.
 export` materializes them back into the per-file layout.  The golden-
 fixture tests diff that surface byte-for-byte against the JSON backend.
 
-Checkpoint payloads are content-addressed: the canonical checkpoint text
-goes into a sha256 :class:`~repro.orchestrator.store.blobs.BlobStore`
-(trials over the same contract share most of their corpus, so identical
-payloads dedupe to one blob), refcounted in the ``blobs`` table and
-garbage-collected at refcount zero.  The worker-visible checkpoint *file*
-(``<job_id>.checkpoint.json``) is a hardlink to the blob, so the worker
-transport — workers hold a path, not a store — is unchanged.
+Mid-campaign checkpoints are not kept in the database: as on the JSON
+backend they are plain ``<job_id>.checkpoint.json`` files under the root,
+written and consumed by the workers themselves, so the scheduler's single
+writer never contends with them.
 """
 
 from __future__ import annotations
@@ -33,22 +30,16 @@ import json
 import sqlite3
 import threading
 import time
-from pathlib import Path
 
-from repro.engine.checkpoint import CampaignCheckpoint, canonical_json
+from repro.engine.checkpoint import canonical_json
 from repro.orchestrator.jobs import CampaignJob, JobOutcome
 from repro.orchestrator.store.base import (
-    _S_CHECKPOINT_WRITE,
-    CHECKPOINT_SUFFIX,
     SCHEMA_VERSION,
     StoreBackend,
     build_record,
-    checkpoint_from_record_text,
     finding_rows_from_record,
     outcome_from_record,
-    read_checkpoint_file,
 )
-from repro.orchestrator.store.blobs import BlobStore
 
 #: the one database file a sqlite store keeps under its root
 DB_NAME = "results.db"
@@ -92,15 +83,6 @@ CREATE INDEX IF NOT EXISTS idx_findings_contract ON findings(contract);
 CREATE INDEX IF NOT EXISTS idx_findings_class ON findings(bug_class);
 CREATE INDEX IF NOT EXISTS idx_findings_severity ON findings(severity);
 CREATE INDEX IF NOT EXISTS idx_findings_fingerprint ON findings(fingerprint);
-CREATE TABLE IF NOT EXISTS checkpoints (
-    job_id      TEXT PRIMARY KEY,
-    fingerprint TEXT NOT NULL,
-    sha         TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS blobs (
-    sha  TEXT PRIMARY KEY,
-    refs INTEGER NOT NULL
-);
 """
 
 _FINDING_COLUMNS = ("job_id", "name", "preset", "trial", "bug_class",
@@ -117,7 +99,6 @@ class SqliteResultStore(StoreBackend):
                  flush_interval: float = FLUSH_INTERVAL) -> None:
         super().__init__(root)
         self.db_path = self.root / DB_NAME
-        self.blobs = BlobStore(self.root / "blobs")
         self.batch_size = int(batch_size)
         self.flush_interval = float(flush_interval)
         # one connection, guarded by a lock: the scheduler is the single
@@ -163,12 +144,7 @@ class SqliteResultStore(StoreBackend):
         return outcome.job.job_id
 
     def flush(self) -> None:
-        """Commit every buffered record in one transaction.
-
-        Saving a record also *consumes* the job's mid-campaign checkpoint
-        (row, blob ref, and worker-visible file): a completed job's
-        checkpoint is spent by definition.
-        """
+        """Commit every buffered record in one transaction."""
         with self._lock:
             batch, self._pending = self._pending, []
             self._last_flush = time.monotonic()
@@ -191,10 +167,6 @@ class SqliteResultStore(StoreBackend):
                         [tuple(row[col] for col in _FINDING_COLUMNS)
                          for row in rows])
                     rows_written += 1 + len(rows)
-                    self._drop_checkpoint_row(job_id)
-            for job_id, *_ in batch:
-                (self.root / f"{job_id}{CHECKPOINT_SUFFIX}") \
-                    .unlink(missing_ok=True)
         self._count_flush(rows_written)
 
     def load(self, job: CampaignJob) -> JobOutcome | None:
@@ -277,20 +249,6 @@ class SqliteResultStore(StoreBackend):
             return dict(self._conn.execute(
                 "SELECT job_id, canonical FROM records ORDER BY job_id"))
 
-    def record_for(self, job_id: str) -> dict | None:
-        self.flush()
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT canonical FROM records WHERE job_id = ?",
-                (job_id,)).fetchone()
-        if row is None:
-            return None
-        try:
-            record = json.loads(row[0])
-        except ValueError:
-            return None
-        return record if isinstance(record, dict) else None
-
     def delete_record(self, job_id: str) -> bool:
         self.flush()
         with self._lock, self._conn:
@@ -333,111 +291,6 @@ class SqliteResultStore(StoreBackend):
                         params)]
         self._count_query(time.perf_counter() - start)
         return rows
-
-    # -- mid-campaign checkpoints ---------------------------------------------
-    # The worker-visible file stays authoritative for *liveness* (workers
-    # rewrite it directly, bypassing the store); the database row + blob
-    # make scheduler-side checkpoints durable, deduplicated, and GC-able.
-
-    def save_checkpoint(self, job: CampaignJob,
-                        checkpoint: CampaignCheckpoint) -> Path:
-        with _S_CHECKPOINT_WRITE:
-            text = canonical_json({
-                "schema": SCHEMA_VERSION,
-                "fingerprint": job.fingerprint(),
-                "checkpoint": checkpoint.to_dict(),
-            })
-            sha = self.blobs.put(text)
-            with self._lock, self._conn:
-                row = self._conn.execute(
-                    "SELECT sha FROM checkpoints WHERE job_id = ?",
-                    (job.job_id,)).fetchone()
-                if row is None or row[0] != sha:
-                    if row is not None:
-                        self._decref(row[0])
-                    self._conn.execute(
-                        "INSERT INTO blobs(sha, refs) VALUES (?, 1)"
-                        " ON CONFLICT(sha) DO UPDATE SET refs = refs + 1",
-                        (sha,))
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO checkpoints"
-                        " (job_id, fingerprint, sha) VALUES (?, ?, ?)",
-                        (job.job_id, job.fingerprint(), sha))
-            path = self.checkpoint_path_for(job)
-            self.blobs.link(sha, path)
-            return path
-
-    def load_checkpoint(self, job: CampaignJob) -> CampaignCheckpoint | None:
-        # the file is freshest (workers rewrite it mid-campaign); fall
-        # back to the durable row + blob when it is gone
-        checkpoint = read_checkpoint_file(self.checkpoint_path_for(job),
-                                          job.fingerprint())
-        if checkpoint is not None:
-            return checkpoint
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT sha FROM checkpoints"
-                " WHERE job_id = ? AND fingerprint = ?",
-                (job.job_id, job.fingerprint())).fetchone()
-        if row is None:
-            return None
-        text = self.blobs.get(row[0])
-        if text is None:
-            return None
-        return checkpoint_from_record_text(text, job.fingerprint())
-
-    def clear_checkpoint(self, job: CampaignJob) -> None:
-        self.checkpoint_path_for(job).unlink(missing_ok=True)
-        with self._lock, self._conn:
-            self._drop_checkpoint_row(job.job_id)
-
-    def checkpoint_ids(self) -> set:
-        self.flush()
-        with self._lock:
-            ids = {row[0] for row in
-                   self._conn.execute("SELECT job_id FROM checkpoints")}
-        return ids | super().checkpoint_ids()
-
-    def _drop_checkpoint_row(self, job_id: str) -> None:
-        """Delete a checkpoint row and release its blob reference.
-        Caller holds the lock and an open transaction."""
-        row = self._conn.execute(
-            "SELECT sha FROM checkpoints WHERE job_id = ?",
-            (job_id,)).fetchone()
-        if row is None:
-            return
-        self._conn.execute("DELETE FROM checkpoints WHERE job_id = ?",
-                           (job_id,))
-        self._decref(row[0])
-
-    def _decref(self, sha: str) -> None:
-        self._conn.execute(
-            "UPDATE blobs SET refs = refs - 1 WHERE sha = ?", (sha,))
-        row = self._conn.execute(
-            "SELECT refs FROM blobs WHERE sha = ?", (sha,)).fetchone()
-        if row is not None and row[0] <= 0:
-            self._conn.execute("DELETE FROM blobs WHERE sha = ?", (sha,))
-            self.blobs.delete(sha)
-
-    def gc_blobs(self) -> int:
-        """Sweep unreferenced blob files (repairs interrupted decrefs too:
-        a blob whose row vanished in a rollback is simply re-swept here).
-        Returns the number of files removed."""
-        self.flush()
-        with self._lock:
-            with self._conn:
-                self._conn.execute("DELETE FROM blobs WHERE refs <= 0")
-                referenced = {row[0] for row in
-                              self._conn.execute("SELECT sha FROM blobs")}
-            orphans = sorted(self.blobs.shas() - referenced)
-            for sha in orphans:
-                self.blobs.delete(sha)
-        return len(orphans)
-
-    def stats_dict(self) -> dict:
-        stats = super().stats_dict()
-        stats["blobs_quarantined"] = self.blobs.quarantined()
-        return stats
 
     # -- lifecycle ------------------------------------------------------------
 

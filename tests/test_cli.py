@@ -344,14 +344,16 @@ class TestCheckpointFlags:
 
     def test_fuzz_stale_checkpoint_ignored(self, capsys, tmp_path,
                                            crowdsale_file):
-        """A checkpoint from a different config must not be resumed."""
+        """A checkpoint from a different config, or one whose bytes are
+        not even UTF-8, must not be resumed: the campaign runs fresh."""
         checkpoint = tmp_path / "stale.checkpoint.json"
-        checkpoint.write_text('{"schema": 1, "fingerprint": "deadbeef", '
-                              '"checkpoint": {}}\n')
-        out = run_cli(capsys, "fuzz", crowdsale_file,
-                      "--iterations", "20", "--seed", "3", "--resume",
-                      "--checkpoint-file", str(checkpoint))
-        assert "no matching checkpoint" in out
+        for payload in (b'{"schema": 1, "fingerprint": "deadbeef", '
+                        b'"checkpoint": {}}\n', b"\xff\xfe not utf-8"):
+            checkpoint.write_bytes(payload)
+            out = run_cli(capsys, "fuzz", crowdsale_file,
+                          "--iterations", "20", "--seed", "3", "--resume",
+                          "--checkpoint-file", str(checkpoint))
+            assert "no matching checkpoint" in out
 
     def test_fuzz_never_clobbers_a_foreign_checkpoint(self, capsys,
                                                       tmp_path,

@@ -56,12 +56,12 @@ class TestCoverSequences:
 class TestConstantHarvesting:
     def test_magic_constant_harvested(self):
         fuzzer = Fuzzer(MAGIC_GATE, mufuzz_config(iterations=1))
-        constants = fuzzer._harvest_constants()
+        constants = fuzzer.constants
         assert 77553311 in constants
 
     def test_small_offsets_excluded(self):
         fuzzer = Fuzzer(MAGIC_GATE, mufuzz_config(iterations=1))
-        constants = fuzzer._harvest_constants()
+        constants = fuzzer.constants
         assert 32 not in constants  # PUSH1/PUSH2 offsets are noise
 
     def test_gate_crossed_via_dictionary(self):

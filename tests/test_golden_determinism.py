@@ -171,7 +171,8 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tier,
     from repro.compiler.cache import compile_cached
     from repro.core.fuzzer import Fuzzer
     from repro.orchestrator.jobs import build_matrix
-    from repro.orchestrator.store import ResultStore
+    from repro.orchestrator.store import (CHECKPOINT_SUFFIX, ResultStore,
+                                          write_checkpoint_file)
 
     overrides = {**OVERRIDES, **TIERS[tier]}
     jobs = build_matrix(_golden_contracts(), PRESETS, trials=1,
@@ -196,16 +197,22 @@ def test_interrupted_matrix_resumes_to_golden_fixture(backend, tier,
         except Interrupt:
             pass
         assert captured, f"{job.job_id}: campaign emitted no checkpoint"
-        store.save_checkpoint(job, captured[-1])
+        write_checkpoint_file(store.checkpoint_path_for(job), captured[-1],
+                              job.fingerprint())
 
-    assert store.checkpoint_ids() == {job.job_id for job in jobs}
+    def pending() -> set:
+        return {path.name for path in
+                store.root.glob(f"*{CHECKPOINT_SUFFIX}")}
+
+    assert pending() == {store.checkpoint_path_for(job).name
+                         for job in jobs}
 
     run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
                      overrides=overrides, workers=WORKERS,
                      backend=backend, results_dir=store.root,
                      checkpoint_every=7)
     assert not run.errors and not run.timeouts, (backend, run.errors)
-    assert not store.checkpoint_ids()  # consumed on completion
+    assert not pending()  # consumed on completion
     record = {o.job.job_id: {**o.result.to_dict(), "wall_time": 0.0}
               for o in run.outcomes}
     assert canonical_json(record) == GOLDEN_PATH.read_text(), \

@@ -171,6 +171,45 @@ class TestRunMatrix:
                   {**o.result.to_dict(), "wall_time": 0.0}))
              for o in first.outcomes]
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param(b'{"schema": 2, "fingerprint": "', id="truncated"),
+        pytest.param(b"\xff\xfe not utf-8", id="non-utf8")])
+    @pytest.mark.parametrize("store", ["json", "sqlite"])
+    def test_mangled_checkpoint_runs_fresh(self, tmp_path, store, payload):
+        """A checkpoint file that does not parse is no checkpoint: the
+        cell runs fresh to the clean result and consumes the file, instead
+        of failing on every re-run."""
+        contracts = [("Crowdsale", CROWDSALE_SOURCE)]
+        kw = dict(presets=("mufuzz",), trials=1, overrides=FAST, workers=1)
+        (clean,) = run_matrix(contracts, **kw).outcomes
+        with ResultStore(tmp_path, backend=store) as results:
+            planted = results.checkpoint_path_for(clean.job)
+        planted.write_bytes(payload)
+        run = run_matrix(contracts, **kw, results_dir=tmp_path, store=store,
+                         checkpoint_every=3)
+        (outcome,) = run.outcomes
+        assert outcome.ok, outcome.error
+        assert {**outcome.result.to_dict(), "wall_time": 0.0} == \
+            {**clean.result.to_dict(), "wall_time": 0.0}
+        assert not planted.exists()
+
+    @pytest.mark.parametrize("store", ["json", "sqlite"])
+    def test_cached_cell_drops_its_leftover_checkpoint(self, tmp_path,
+                                                       store):
+        """A checkpoint left next to a stored record (a crash between
+        saving the result and consuming the file) is swept on re-run."""
+        contracts = [("Crowdsale", CROWDSALE_SOURCE)]
+        kw = dict(presets=("mufuzz",), trials=1, overrides=FAST, workers=1,
+                  results_dir=tmp_path, store=store, checkpoint_every=3)
+        (outcome,) = run_matrix(contracts, **kw).outcomes
+        with ResultStore(tmp_path) as results:
+            leftover = results.checkpoint_path_for(outcome.job)
+        assert not leftover.exists()
+        leftover.write_text("{}\n")
+        rerun = run_matrix(contracts, **kw)
+        assert rerun.executed == 0 and rerun.cached == 1
+        assert not leftover.exists()
+
     def test_budget_specs_fold_into_every_job(self):
         """run_matrix's budget parameters reach each campaign's config
         and govern it through the engine's single Budget authority."""
@@ -278,12 +317,12 @@ class TestBackends:
         isolated = run_matrix(contracts, recycle_after=1, **kw)
         assert not pool.errors and not isolated.errors
         assert pool.executed == isolated.executed == 20
-        assert pool.stats["compile_cache_hits"] >= 20 - 2 * 2
-        assert pool.stats["compile_cache_misses"] <= 2 * 2
-        assert isolated.stats["compile_cache_hits"] == 0
-        assert isolated.stats["compile_cache_misses"] == 20
+        assert pool.stats.compile_cache_hits >= 20 - 2 * 2
+        assert pool.stats.compile_cache_misses <= 2 * 2
+        assert isolated.stats.compile_cache_hits == 0
+        assert isolated.stats.compile_cache_misses == 20
         # every worker is retired after its job, bar the last per worker
-        assert isolated.stats["workers_recycled"] >= 20 - 2
+        assert isolated.stats.workers_recycled >= 20 - 2
         assert ([o.result.to_dict() | {"wall_time": 0.0}
                  for o in pool.outcomes]
                 == [o.result.to_dict() | {"wall_time": 0.0}

@@ -3,8 +3,7 @@
 Covers the store split (json per-file reference vs WAL-mode sqlite):
 byte-identical canonical records across backends, export round-trips,
 buffered-write flush semantics, the indexed findings projection,
-content-addressed checkpoint blobs with refcounted GC, stale temp-file
-sweeping, concurrent multi-process writers (no lost or torn records), and
+checkpoint files on a sqlite store root, stale temp-file sweeping, concurrent multi-process writers (no lost or torn records), and
 a hypothesis round-trip of records through sqlite back to canonical JSON.
 """
 
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.campaign import CampaignResult
 from repro.engine.checkpoint import CampaignCheckpoint, canonical_json
 from repro.oracles.base import SEVERITIES, BugClass, Finding
-from repro.orchestrator import CampaignJob
+from repro.orchestrator import CampaignJob, create_backend
 from repro.orchestrator.jobs import JobOutcome
 from repro.orchestrator.store import (
     DB_NAME,
@@ -34,9 +33,10 @@ from repro.orchestrator.store import (
     atomic_write_text,
     build_record,
     finding_fingerprint,
+    read_checkpoint_file,
     resolve_store_backend,
+    write_checkpoint_file,
 )
-from repro.orchestrator.store.blobs import BlobStore
 
 BACKEND_NAMES = ("json", "sqlite")
 
@@ -121,7 +121,9 @@ class TestBackendSelection:
         """A directory holding only checkpoint files (interrupted before
         any record settled) is still 'fresh' for format selection."""
         store = ResultStore(tmp_path / "r", backend="json")
-        store.save_checkpoint(_job(), _checkpoint())
+        job = _job()
+        write_checkpoint_file(store.checkpoint_path_for(job), _checkpoint(),
+                              job.fingerprint())
         monkeypatch.setenv("REPRO_STORE", "sqlite")
         assert resolve_store_backend(tmp_path / "r") == "sqlite"
 
@@ -167,14 +169,6 @@ class TestRoundTrip:
         assert store.completed_ids() == set()
         assert store.query_findings() == []
         assert not store.delete_record(job.job_id)  # already gone
-
-    def test_record_for_returns_parsed_record(self, store):
-        job = _job()
-        store.save(_outcome(job))
-        record = store.record_for(job.job_id)
-        assert record["job_id"] == job.job_id
-        assert record["schema"] == 2
-        assert store.record_for("nonesuch") is None
 
 
 class TestCanonicalParity:
@@ -279,9 +273,10 @@ class TestAtomicWrites:
     def test_checkpoint_write_uses_appended_temp(self, tmp_path):
         store = ResultStore(tmp_path, backend="json")
         job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
+        path = store.checkpoint_path_for(job)
+        write_checkpoint_file(path, _checkpoint(), job.fingerprint())
         assert path.name == f"{job.job_id}.checkpoint.json"
-        assert store.load_checkpoint(job) is not None
+        assert read_checkpoint_file(path, job.fingerprint()) is not None
         # no stray temp, and no file with a mangled suffix
         assert not list(tmp_path.glob("*.tmp"))
         assert not list(tmp_path.glob("*.checkpoint"))
@@ -350,133 +345,65 @@ class TestSqliteBuffering:
 
 
 class TestCheckpointBlobs:
+    """Checkpoints on a sqlite store root: the database holds none of
+    them, so they are the same plain worker-written files as on the json
+    backend."""
+
     def test_checkpoint_round_trip_and_file_transport(self, tmp_path):
         store = ResultStore(tmp_path, backend="sqlite")
         job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        # the worker-visible file transport is unchanged: a plain
-        # canonical checkpoint file at the json-backend path
+        path = store.checkpoint_path_for(job)
         assert path == tmp_path / f"{job.job_id}.checkpoint.json"
-        assert path.exists()
-        loaded = store.load_checkpoint(job)
+        # the path dispatched to workers is the store's path
+        backend = create_backend("inline", checkpoint_every=3,
+                                 checkpoint_dir=tmp_path)
+        assert backend.checkpoint_transport(job) == {"every": 3,
+                                                     "path": str(path)}
+        write_checkpoint_file(path, _checkpoint(), job.fingerprint())
+        loaded = read_checkpoint_file(path, job.fingerprint())
         assert loaded is not None and loaded.contract == "C"
-        assert store.checkpoint_ids() == {job.job_id}
-        store.close()
-
-    def test_db_row_survives_file_loss(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        path.unlink()  # lose the worker-visible hardlink
-        assert store.load_checkpoint(job) is not None  # blob fallback
         store.close()
 
     def test_tampered_blob_reads_as_missing(self, tmp_path):
-        """A blob that no longer hashes to its address is never trusted:
-        with the worker file gone, the job resumes fresh."""
+        """A checkpoint file that is truncated, carries another job's
+        fingerprint, or is not UTF-8 is never trusted: the job resumes
+        fresh."""
         store = ResultStore(tmp_path, backend="sqlite")
         job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        (sha,) = store.blobs.shas()
-        text = store.blobs.get(sha)
-        assert text is not None
-        path.unlink()  # drop the hardlink, then corrupt the blob itself
-        blob = store.blobs.path_for(sha)
-        tampered = text.replace('"C"', '"D"', 1)
+        path = store.checkpoint_path_for(job)
+        write_checkpoint_file(path, _checkpoint(), job.fingerprint())
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        assert read_checkpoint_file(path, job.fingerprint()) is None
+        tampered = text.replace(job.fingerprint(), "0" * 16, 1)
         assert tampered != text
-        blob.write_text(tampered)
-        assert store.stats_dict()["blobs_quarantined"] == 0
-        assert store.blobs.get(sha) is None
-        assert store.stats_dict()["blobs_quarantined"] == 1
-        assert store.load_checkpoint(job) is None
-        blob.write_bytes(b"\xff\xfe not utf-8")
-        assert store.blobs.get(sha) is None
-        assert store.load_checkpoint(job) is None
+        path.write_text(tampered)
+        assert read_checkpoint_file(path, job.fingerprint()) is None
+        path.write_bytes(b"\xff\xfe not utf-8")
+        assert read_checkpoint_file(path, job.fingerprint()) is None
         store.close()
-
-    def test_corrupt_blob_is_quarantined_and_repaired_by_put(self, tmp_path):
-        """A blob that fails verification is moved aside, so saving the
-        same payload again writes a good copy instead of reusing the bad
-        file forever."""
-        blobs = BlobStore(tmp_path / "blobs")
-        sha = blobs.put("payload\n")
-        blobs.path_for(sha).write_text("tampered\n")
-        assert blobs.quarantined() == 0
-        assert blobs.get(sha) is None
-        assert blobs.path_for(sha).with_name(sha + ".corrupt").exists()
-        assert blobs.quarantined() == 1
-        assert blobs.shas() == set()
-        assert blobs.put("payload\n") == sha
-        assert blobs.get(sha) == "payload\n"
-        assert blobs.shas() == {sha}
 
     def test_resaving_repairs_a_corrupt_checkpoint(self, tmp_path):
         store = ResultStore(tmp_path, backend="sqlite")
         job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        (sha,) = store.blobs.shas()
-        text = store.blobs.get(sha)
-        path.unlink()
-        store.blobs.path_for(sha).write_text(text.replace('"C"', '"D"', 1))
-        assert store.load_checkpoint(job) is None
-        path = store.save_checkpoint(job, _checkpoint())
-        assert path.read_text() == text  # relinked to the good blob
-        path.unlink()
-        assert store.load_checkpoint(job) is not None
-        store.close()
-
-    def test_identical_payloads_share_one_blob(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        store.save_checkpoint(job, _checkpoint())
-        store.save_checkpoint(job, _checkpoint())  # same content
-        assert len(store.blobs.shas()) == 1
-        store.close()
-
-    def test_rewrite_releases_the_old_blob(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        store.save_checkpoint(job, _checkpoint())
-        first = set(store.blobs.shas())
-        store.save_checkpoint(job, _checkpoint(contract="Other"))
-        remaining = store.blobs.shas()
-        assert len(remaining) == 1 and remaining != first  # refcount 0: gone
+        path = store.checkpoint_path_for(job)
+        write_checkpoint_file(path, _checkpoint(), job.fingerprint())
+        text = path.read_text()
+        path.write_bytes(b"\xff\xfe not utf-8")
+        assert read_checkpoint_file(path, job.fingerprint()) is None
+        write_checkpoint_file(path, _checkpoint(), job.fingerprint())
+        assert path.read_text() == text
+        assert read_checkpoint_file(path, job.fingerprint()) is not None
         store.close()
 
     def test_clear_checkpoint_releases_blob_and_file(self, tmp_path):
         store = ResultStore(tmp_path, backend="sqlite")
         job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
+        path = store.checkpoint_path_for(job)
+        write_checkpoint_file(path, _checkpoint(), job.fingerprint())
         store.clear_checkpoint(job)
         assert not path.exists()
-        assert store.checkpoint_ids() == set()
-        assert store.blobs.shas() == set()
-        store.close()
-
-    def test_saving_the_record_consumes_the_checkpoint(self, tmp_path):
-        """A completed job's checkpoint is spent: persisting its result
-        drops the row, the blob reference, and the worker file."""
-        store = ResultStore(tmp_path, backend="sqlite")
-        job = _job()
-        path = store.save_checkpoint(job, _checkpoint())
-        store.save(_outcome(job))
-        store.flush()
-        assert store.checkpoint_ids() == set()
-        assert not path.exists()
-        assert store.blobs.shas() == set()
-        store.close()
-
-    def test_gc_sweeps_orphan_blobs(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
-        sha = store.blobs.put("orphaned payload\n")
-        assert store.blobs.has(sha)
-        assert store.gc_blobs() == 1
-        assert not store.blobs.has(sha)
-        # referenced blobs survive GC
-        job = _job()
-        store.save_checkpoint(job, _checkpoint())
-        assert store.gc_blobs() == 0
-        assert store.load_checkpoint(job) is not None
+        store.clear_checkpoint(job)  # already gone: a no-op
         store.close()
 
 
@@ -617,7 +544,7 @@ class TestStoreStats:
         with ResultStore(tmp_path, backend="sqlite") as store:
             store.save(_outcome(_job()))
         assert (tmp_path / DB_NAME).exists()
-        # a json store never globs results.db or the blobs dir
+        # a json store never globs results.db
         ids = JsonResultStore(tmp_path).completed_ids()
         assert DB_NAME not in {f"{i}.json" for i in ids}
 

@@ -262,8 +262,9 @@ class TestDeterminismGuard:
                          telemetry=True)
         (outcome,) = run.outcomes
         from repro.orchestrator.store import ResultStore
-        record = ResultStore(tmp_path).record_for(outcome.job.job_id)
-        assert record is not None and "telemetry" in record
+        text = ResultStore(tmp_path).canonical_records()[outcome.job.job_id]
+        record = json.loads(text)
+        assert "telemetry" in record
         assert "telemetry" not in record["result"]
         assert record["result"]["iterations"] >= FAST["iterations"]
 
