@@ -19,7 +19,8 @@ Both backends produce byte-identical canonical artifacts (the golden
 store sweep in ``tests/test_golden_determinism.py`` pins that), so the
 arms do the same logical work and the series isolates pure wall-clock.
 
-Estimator (same hostile-conditions design as ``bench_evm_throughput``):
+Estimator (same hostile-conditions design as the telemetry gate in
+``bench_hot_path``):
 each round runs the two arms back to back, the arm order alternates every
 round so monotonic machine drift penalizes each arm equally often, and the
 reported speedup is the **median of the paired json/sqlite time ratios**.

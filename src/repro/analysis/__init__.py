@@ -17,7 +17,8 @@
 * :mod:`repro.analysis.prefix` — lightweight path-prefix reachability of
   vulnerable instructions (§IV-C, Algorithm 3 support), fast-pathed by the
   surface's whole-code opcode facts.
-* :mod:`repro.analysis.distance` — branch-distance aggregation helpers.
+* :mod:`repro.analysis.distance` — per-execution branch distances to
+  uncovered directions (sFuzz feedback).
 
 Division of labour between the last two analysis layers: *absint facts are
 heuristic guidance* (a missed fact costs throughput), while *surface
@@ -42,7 +43,6 @@ from repro.analysis.surface import (
     surface_for,
 )
 from repro.analysis.prefix import PrefixAnalyzer
-from repro.analysis.distance import branch_distance_summary
 
 __all__ = [
     "Instruction",
@@ -63,5 +63,4 @@ __all__ = [
     "compute_surface",
     "surface_for",
     "PrefixAnalyzer",
-    "branch_distance_summary",
 ]

@@ -257,7 +257,7 @@ class FusedProgram:
                  materialize) -> None:
         self.blocks = blocks        # start pc -> closure (or stub)
         self.tiers = tiers          # start pc -> TIER_* string
-        self.stats = stats          # tier + emit counts (tests, --profile)
+        self.stats = stats          # tier + emit counts (tests)
         self.sources: list[str] = []  # one per compiled entry
         self.materialize = materialize
 
@@ -1431,7 +1431,7 @@ def fused_program(code: bytes, event_mask: int) -> FusedProgram:
 
 
 def fusion_stats() -> dict:
-    """Compile/runtime counters (tests, benches, ``--profile``)."""
+    """Compile/runtime counters (tests and the benchmark)."""
     return {
         "programs": _totals["programs"],
         "blocks_fused": _totals["fused"],

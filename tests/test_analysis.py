@@ -15,11 +15,7 @@ from repro.analysis.surface import (
     compute_surface,
     surface_for,
 )
-from repro.analysis.distance import (
-    UNSEEN_DISTANCE,
-    distances_from_trace,
-    seed_distance,
-)
+from repro.analysis.distance import distances_from_trace
 from repro.cache import CACHES
 from repro.compiler import compile_source
 from repro.evm.opcodes import Op
@@ -235,14 +231,6 @@ class TestDistances:
     def test_none_distance_maps_to_one(self):
         trace = self._trace_with_branch(dist_true=None, dist_false=None)
         assert distances_from_trace(trace)[(1, 5, True)] == 1
-
-    def test_seed_distance_zero_when_covered(self):
-        trace = self._trace_with_branch(taken=True)
-        assert seed_distance(trace, (1, 5, True)) == 0
-
-    def test_seed_distance_unseen(self):
-        trace = self._trace_with_branch()
-        assert seed_distance(trace, (1, 999, True)) == UNSEEN_DISTANCE
 
 
 # -- vulnerability surface: per-class dead/live contract pairs (PR 8) ---------

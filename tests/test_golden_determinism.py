@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.corpus import generate_d2
+from repro.corpus import generate_d2, generate_d3
 from repro.orchestrator import run_matrix
 from repro.orchestrator.backends import BACKENDS
 from repro.orchestrator.store import canonical_json
@@ -225,8 +225,9 @@ def test_tier_does_work_only_when_on(tier):
     """Byte-identity cannot see a tier that has quietly become a no-op, so
     each tier's own work counter must move in a real campaign with the
     tier on and stay still with it off: state-cache hits, oracles pruned
-    on a d2 contract whose surface has dead classes (with a narrower
-    event mask), and fused entries compiled."""
+    (with a narrower event mask) and fused entries compiled.  Both
+    contracts, one small d2 and one large d3, have surfaces with dead
+    classes."""
     from repro.compiler.cache import compile_cached
     from repro.core import statecache
     from repro.core.config import preset_config
@@ -234,23 +235,25 @@ def test_tier_does_work_only_when_on(tier):
     from repro.evm import fusion
 
     (field,) = TIERS[f"{tier}-off"]
-    contract = generate_d2()[0]
-    artifact = compile_cached(contract.source, contract.name)
-    work, masks = {}, {}
-    for on in (True, False):
-        fusion.clear_cache()  # programs compile afresh for this campaign
-        hits = statecache._hits_total
-        fuzzer = Fuzzer(artifact, preset_config(
-            "mufuzz", iterations=60, rng_seed=11, **{field: on}))
-        fuzzer.run()
-        work[on] = {"cache": statecache._hits_total - hits,
-                    "prune": len(fuzzer.bus.pruned),
-                    "fuse": fusion.fusion_stats()["entries_compiled"]}[tier]
-        masks[on] = fuzzer.base_chain.event_mask
-    assert work[True] > 0 and work[False] == 0, (tier, work)
-    if tier == "prune":  # pruned oracles' event kinds are never recorded
-        assert masks[True] != masks[False]
-        assert masks[True] & ~masks[False] == 0
+    for contract in (generate_d2()[0], generate_d3(count=1)[0]):
+        artifact = compile_cached(contract.source, contract.name)
+        work, masks = {}, {}
+        for on in (True, False):
+            fusion.clear_cache()  # programs compile afresh for this campaign
+            hits = statecache._hits_total
+            fuzzer = Fuzzer(artifact, preset_config(
+                "mufuzz", iterations=60, rng_seed=11, **{field: on}))
+            fuzzer.run()
+            work[on] = {
+                "cache": statecache._hits_total - hits,
+                "prune": len(fuzzer.bus.pruned),
+                "fuse": fusion.fusion_stats()["entries_compiled"]}[tier]
+            masks[on] = fuzzer.base_chain.event_mask
+        assert work[True] > 0 and work[False] == 0, \
+            (contract.name, tier, work)
+        if tier == "prune":  # pruned oracles' event kinds are never recorded
+            assert masks[True] != masks[False], contract.name
+            assert masks[True] & ~masks[False] == 0, contract.name
 
 
 def test_golden_findings_replay_from_witnesses():
