@@ -131,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--results-dir", default=None,
                       help="persist per-job results here and skip "
                            "already-completed jobs on rerun")
-    camp.add_argument("--store", choices=("json", "sqlite"), default=None,
-                      help="result-store backend for --results-dir: json "
-                           "= one canonical record file per job; sqlite = "
-                           "one WAL-mode results.db with batched writes "
-                           "and indexed resume/report queries. Default: "
-                           "an existing store's own format, else "
-                           "$REPRO_STORE, else json. The canonical "
-                           "artifact is byte-identical either way")
     camp.add_argument("--job-timeout", type=float, default=None,
                       help="per-job wall-clock timeout in seconds, "
                            "measured from dispatch to a worker process — "
@@ -178,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
              "counts, severity rollups, per-contract tables)")
     report.add_argument("results_dir",
                         help="a results directory produced by 'repro "
-                             "campaign --results-dir' (json or sqlite "
-                             "store)")
+                             "campaign --results-dir'")
     report.add_argument("--contract", default=None,
                         help="only findings in this contract")
     report.add_argument("--bug-class", default=None, metavar="CLASSES",
@@ -444,6 +435,7 @@ def cmd_campaign(args) -> int:
         resolve_workers,
         run_matrix,
     )
+    from repro.orchestrator.store import LegacyStoreError
 
     try:
         oracles = _parse_oracles(args.oracles)
@@ -502,22 +494,24 @@ def cmd_campaign(args) -> int:
         log.info(f"  [{outcome.status}] {outcome.job.job_id}: {detail} "
                  f"({outcome.elapsed:.2f}s)")
 
-    run = run_matrix(
-        contracts, presets=args.fuzzers, trials=args.trials,
-        base_seed=args.seed,
-        overrides={"iterations": _resolve_iterations(
-            args, default_iterations=100)},
-        time_budget=args.time_budget, tx_budget=args.tx_budget,
-        workers=workers, results_dir=args.results_dir,
-        job_timeout=args.job_timeout, progress=progress,
-        backend=backend, recycle_after=args.recycle_after,
-        checkpoint_every=args.checkpoint_every, oracles=oracles,
-        telemetry=telemetry, store=args.store)
+    try:
+        run = run_matrix(
+            contracts, presets=args.fuzzers, trials=args.trials,
+            base_seed=args.seed,
+            overrides={"iterations": _resolve_iterations(
+                args, default_iterations=100)},
+            time_budget=args.time_budget, tx_budget=args.tx_budget,
+            workers=workers, results_dir=args.results_dir,
+            job_timeout=args.job_timeout, progress=progress,
+            backend=backend, recycle_after=args.recycle_after,
+            checkpoint_every=args.checkpoint_every, oracles=oracles,
+            telemetry=telemetry)
+    except LegacyStoreError as exc:
+        log.error(f"error: {exc}")
+        return 2
 
     if run.results_dir is not None:
-        backend_note = ((run.stats.store or {}).get("backend")
-                        or "json")
-        log.info(f"results dir: {run.results_dir} [{backend_note} store] "
+        log.info(f"results dir: {run.results_dir} "
                  f"({run.cached} cached, {run.executed} executed)")
     stats = run.stats
     if run.executed and (stats.compile_cache_hits
@@ -604,10 +598,8 @@ def _render_top_frame(record: dict) -> None:
                  f"{stats.get('cache_hit_rate', 0.0):.0%}")
         store = stats.get("store")
         if store:
-            log.info(f"store [{store.get('backend', '?')}]: "
+            log.info(f"store: "
                      f"{store.get('records_saved', 0)} record(s) saved, "
-                     f"{store.get('rows_written', 0)} row(s) written in "
-                     f"{store.get('batch_flushes', 0)} flush(es), "
                      f"{store.get('queries', 0)} quer(ies) in "
                      f"{store.get('query_ms', 0.0):.1f}ms")
 
@@ -650,44 +642,27 @@ def cmd_top(args) -> int:
 
 
 def _replay_records(paths) -> list:
-    """(path, record) pairs from record files and results directories."""
+    """(path, record) pairs from record files and results directories.
+
+    Raises ``ValueError`` naming the file for anything unreplayable."""
     import json
-    from repro.orchestrator.store import (CHECKPOINT_SUFFIX,
-                                          TELEMETRY_SUFFIX, DB_NAME,
-                                          ResultStore)
+    from repro.orchestrator.store import ResultStore
     from pathlib import Path
 
     records = []
     for raw in paths:
         path = Path(raw)
-        if path.is_dir() and (path / DB_NAME).exists():
-            # a sqlite store: records come from the database, not files
-            store = ResultStore(path)
-            try:
-                canonical = store.canonical_records()
-            finally:
-                store.close()
-            for job_id, text in sorted(canonical.items()):
-                record = json.loads(text)
-                if "source" not in record:
-                    raise ValueError(
-                        f"{path}/{job_id}: record predates the witness "
-                        f"schema (no embedded source); re-run the "
-                        f"campaign to refresh it")
-                records.append((path / f"{job_id}.json", record))
-            continue
         if path.is_dir():
-            files = sorted(p for p in path.glob("*.json")
-                           if not p.name.endswith(CHECKPOINT_SUFFIX)
-                           and not p.name.endswith(TELEMETRY_SUFFIX))
+            pairs = [(path / f"{job_id}.json", json.loads(text))
+                     for job_id, text in sorted(
+                         ResultStore(path).canonical_records().items())]
         else:
-            files = [path]
-        for file in files:
             try:
-                record = json.loads(file.read_text())
+                pairs = [(path, json.loads(path.read_text()))]
             except (OSError, ValueError) as exc:
-                raise ValueError(f"{file}: not a readable JSON record "
+                raise ValueError(f"{path}: not a readable JSON record "
                                  f"({exc})") from None
+        for file, record in pairs:
             if not isinstance(record, dict) or "result" not in record:
                 raise ValueError(f"{file}: not a campaign result record")
             if "source" not in record:
@@ -738,7 +713,8 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     from pathlib import Path
     from repro.engine.checkpoint import canonical_json
-    from repro.orchestrator.store import ResultStore
+    from repro.orchestrator.store import (LegacyStoreError, ResultStore,
+                                          UnreadableRecordsError)
     from repro.reporting import aggregate_findings, format_findings_report
 
     root = Path(args.results_dir)
@@ -757,21 +733,21 @@ def cmd_report(args) -> int:
             return 2
         if parsed is not None:
             bug_classes = [bc.value for bc in parsed]
-    store = ResultStore(root)
     try:
+        store = ResultStore(root)
         rows = store.query_findings(contract=args.contract,
                                     bug_class=bug_classes,
                                     severity=args.severity,
                                     preset=args.preset)
-        n_records = len(store.completed_ids())
-    finally:
-        store.close()
+    except (LegacyStoreError, UnreadableRecordsError) as exc:
+        log.error(f"error: {exc}")
+        return 2
+    n_records = len(store.completed_ids())
     report = aggregate_findings(rows)
     if args.json:
         log.info(canonical_json(report.to_dict()))
     else:
-        log.info(f"{store.name} store at {root}: {n_records} result "
-                 f"record(s)")
+        log.info(f"store at {root}: {n_records} result record(s)")
         log.info("")
         log.info(format_findings_report(report))
     return 0

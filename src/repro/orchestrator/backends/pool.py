@@ -22,6 +22,10 @@ invariant behind the pool's guarantees:
   ``recycle_after=1`` is the isolation mode: every job runs in a fresh
   process and no state of any kind survives between jobs.
 
+A worker that reports a result gets its next job at once, before the
+scheduler settles (and saves) the result it just received, so the store
+write never leaves a worker idle.
+
 Results are byte-identical to the inline backend at any worker count:
 job seeds derive from job identity alone, and compiled artifacts are
 immutable, so cache reuse cannot leak state between cells.  The
@@ -107,6 +111,21 @@ class PoolBackend(ExecutionBackend):
             worker.proc.join()
             worker.dispatch.close()
 
+        def dispatch(worker: _PoolWorker) -> None:
+            """Hand an idle worker its next job.  Never to one that died
+            while idle or served its recycling quota: the top of the loop
+            reaps or retires it and the headcount replaces it, so the job
+            stays pending."""
+            if (not pending or worker.job_id is not None
+                    or (self.recycle_after is not None
+                        and worker.jobs_done >= self.recycle_after)
+                    or not worker.proc.is_alive()):
+                return
+            job = pending.popleft()
+            worker.job_id = job.job_id
+            worker.started = time.monotonic()  # the timeout clock
+            worker.dispatch.put(self.job_payload(job))
+
         def on_wire(wire) -> None:
             self._absorb_cache_stats(wire)
             self._absorb_telemetry(wire.get("telemetry"))
@@ -116,6 +135,8 @@ class PoolBackend(ExecutionBackend):
             if worker is not None and worker.job_id == wire.get("job_id"):
                 worker.job_id = None
                 worker.jobs_done += 1
+                # runs before SchedulerCore settles (and saves) this wire
+                dispatch(worker)
 
         def sweep() -> None:
             """Settle timeouts and dead workers; replacements are spawned
@@ -161,17 +182,8 @@ class PoolBackend(ExecutionBackend):
                                          len(pending) + in_flight):
                     spawn_worker()
 
-                # dispatch one job to each idle worker; never hand work
-                # to a worker that died while idle (sweep reaps it and
-                # the headcount replaces it — the job stays pending)
                 for worker in workers.values():
-                    if not pending:
-                        break
-                    if worker.job_id is None and worker.proc.is_alive():
-                        job = pending.popleft()
-                        worker.job_id = job.job_id
-                        worker.started = time.monotonic()
-                        worker.dispatch.put(self.job_payload(job))
+                    dispatch(worker)
 
                 core.drain(block_for=self.sweep_interval, handler=on_wire)
                 sweep()

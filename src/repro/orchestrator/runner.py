@@ -44,8 +44,8 @@ class RunStats:
     #: merged telemetry registry snapshot across every fresh job (None
     #: when the run did not collect telemetry)
     telemetry: dict | None = None
-    #: result-store counters (backend, records saved/loaded, rows written,
-    #: batch flushes, query time) from ``StoreBackend.stats_dict``; None
+    #: result-store counters (records saved/loaded, queries, query time,
+    #: temps swept) from ``StoreBackend.stats_dict``; None
     #: when the run kept everything in memory
     store: dict | None = None
 
@@ -244,14 +244,15 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
     every heartbeat as it arrives.  Telemetry is provably inert — results
     are byte-identical with it on or off.
 
-    ``store`` picks the result-store backend (``json`` or ``sqlite``) for
-    ``results_dir``; ``None`` honors an existing store's format, then the
-    ``REPRO_STORE`` environment variable, then defaults to ``json``.  The
-    canonical artifact is byte-identical across backends (the sqlite
-    store keeps exact canonical record text and exports to the per-file
-    layout).
+    ``results_dir`` is a per-file json store; one holding a ``results.db``
+    from the retired database backend raises
+    :class:`~repro.orchestrator.store.LegacyStoreError` before anything
+    is run or written.  ``store`` accepts only ``None`` or ``"json"``, the
+    one backend; it goes once the benchmark stops passing ``"json"``.
     """
     start = time.perf_counter()
+    if store not in (None, "json"):
+        raise ValueError(f"unknown store backend {store!r} (only 'json')")
     if oracles is not None:
         from repro.core.config import normalize_bug_classes
         overrides = dict(overrides or {})
@@ -289,8 +290,7 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
                         base_seed=base_seed, overrides=overrides,
                         supported=supported)
 
-    store = ResultStore(results_dir, backend=store) \
-        if results_dir is not None else None
+    store = ResultStore(results_dir) if results_dir is not None else None
     cached = store.load_fresh(jobs) if store is not None else {}
     pending = []
     for job in jobs:
@@ -333,8 +333,6 @@ def run_matrix(contracts, presets, trials: int = 1, base_seed: int = 1,
         for outcome in engine.run(pending, progress=on_settle):
             fresh[outcome.job.job_id] = outcome
 
-    if store is not None:
-        store.flush()  # buffered backends: every record durable before return
     outcomes = [cached[job.job_id] if job.job_id in cached
                 else fresh[job.job_id] for job in jobs]
     elapsed = time.perf_counter() - start

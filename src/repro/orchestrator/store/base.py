@@ -1,7 +1,6 @@
-"""Shared machinery for the result-store backends.
+"""The result store's format rules and its storage-independent half.
 
-Everything both backends must agree on lives here, because agreement *is*
-the product: the canonical record form (:func:`build_record` +
+The canonical record form (:func:`build_record` +
 :func:`repro.engine.checkpoint.canonical_json`), the freshness rules
 (:func:`record_is_fresh`), the findings projection derived from a record
 (:func:`finding_rows_from_record`), the crash-safe atomic file writer
@@ -10,15 +9,14 @@ can never leave a truncated-but-renamed record), the stale ``*.tmp`` sweep,
 and the checkpoint file helpers workers use directly (they hold a path,
 not a store).
 
-:class:`StoreBackend` is the interface contract: a backend persists
-canonical records keyed by ``job_id``, answers resume queries
-(:meth:`~StoreBackend.load_fresh` / :meth:`~StoreBackend.fresh_ids`),
-and exposes the findings projection (:meth:`~StoreBackend.query_findings`).
-Whatever the storage engine, :meth:`~StoreBackend.canonical_records` must
-return byte-identical text for the same outcomes — the golden-fixture
-tests hold both backends to that.  Mid-campaign checkpoints are not
-records: on every backend they are the plain files named by
-:func:`checkpoint_path`, which workers write, read and consume through
+:class:`StoreBackend` holds what the store does on top of its five
+storage methods (:class:`~repro.orchestrator.store.jsonfile.
+JsonResultStore` implements them): resume (:meth:`~StoreBackend.
+load_fresh`), the findings projection (:meth:`~StoreBackend.
+query_findings`), export, and the refusal to open a directory the
+retired database backend wrote (:class:`LegacyStoreError`).
+Mid-campaign checkpoints are not records: they are the plain files named
+by :func:`checkpoint_path`, which workers write, read and consume through
 :class:`CheckpointSession`.
 """
 
@@ -61,6 +59,10 @@ LIVE_TELEMETRY_NAME = f"live{TELEMETRY_SUFFIX}"
 #: suffix of in-flight atomic-write temporaries (swept when stale)
 TMP_SUFFIX = ".tmp"
 
+#: the database file of the retired second store backend; a directory
+#: holding one is refused (:class:`LegacyStoreError`), never re-run
+LEGACY_DB_NAME = "results.db"
+
 #: a ``*.tmp`` older than this is an orphan from a crashed writer; a
 #: younger one may be a concurrent writer's in-flight rename and is left
 #: alone (the sweep runs on store open, not on a schedule)
@@ -72,15 +74,11 @@ STALE_TMP_AGE = 60.0
 # hot path pays integer adds, never a registry probe.
 _T_RECORDS_SAVED = _metrics.counter("store.records_saved")
 _T_RECORDS_LOADED = _metrics.counter("store.records_loaded")
-_T_ROWS_WRITTEN = _metrics.counter("store.rows_written")
-_T_BATCH_FLUSHES = _metrics.counter("store.batch_flushes")
 _T_QUERIES = _metrics.counter("store.queries")
 _T_QUERY_US = _metrics.counter("store.query_us")
 
 _records_saved_total = 0
 _records_loaded_total = 0
-_rows_written_total = 0
-_batch_flushes_total = 0
 _queries_total = 0
 _query_us_total = 0
 
@@ -88,8 +86,6 @@ _query_us_total = 0
 def _collect_store_counters() -> None:
     _T_RECORDS_SAVED.set_total(_records_saved_total)
     _T_RECORDS_LOADED.set_total(_records_loaded_total)
-    _T_ROWS_WRITTEN.set_total(_rows_written_total)
-    _T_BATCH_FLUSHES.set_total(_batch_flushes_total)
     _T_QUERIES.set_total(_queries_total)
     _T_QUERY_US.set_total(_query_us_total)
 
@@ -157,13 +153,8 @@ def sweep_stale_temps(root, min_age: float = STALE_TMP_AGE) -> int:
 # -- the canonical record form ------------------------------------------------
 
 def build_record(outcome: JobOutcome) -> dict:
-    """The persistent record for an ``ok`` outcome.
-
-    Both backends serialize exactly this dict through
-    :func:`canonical_json`, which is what makes them interchangeable: the
-    SQLite backend stores the very text the JSON backend would have
-    written, and ``export`` round-trips it byte-identically.
-    """
+    """The persistent record for an ``ok`` outcome, serialized through
+    :func:`canonical_json` into exactly one record file."""
     job = outcome.job
     result_data = outcome.result.to_dict()
     result_data["wall_time"] = 0.0
@@ -338,40 +329,62 @@ class CheckpointSession:
             clear_checkpoint_file(self.path)
 
 
-class StoreBackend:
-    """The result-store interface both backends implement.
+class LegacyStoreError(ValueError):
+    """A results directory written by the retired database backend.
 
-    Subclasses must provide :meth:`load`, :meth:`save`,
+    Opening it as a fresh per-file store would re-run every cell and fork
+    the directory into two layouts, so it is refused before anything is
+    written there."""
+
+    def __init__(self, root: Path) -> None:
+        super().__init__(
+            f"{root} holds a {LEGACY_DB_NAME} from the retired SQLite "
+            f"store backend, which this version cannot read; commit "
+            f"46555dd is the last one that does. Check it out and run "
+            f"ResultStore(old_dir).export(new_dir) to convert the store "
+            f"to per-file records, or use a fresh results directory")
+
+
+class UnreadableRecordsError(ValueError):
+    """Record files that are not a UTF-8 JSON object, named all at once
+    instead of being skipped."""
+
+    def __init__(self, paths) -> None:
+        self.paths = sorted(paths)
+        super().__init__(
+            f"{len(self.paths)} unreadable result record(s): "
+            + ", ".join(str(path) for path in self.paths)
+            + "; re-running the campaign refreshes them")
+
+
+class StoreBackend:
+    """The store's storage-independent half.
+
+    The subclass provides :meth:`load`, :meth:`save`,
     :meth:`completed_ids`, :meth:`canonical_records`, and
-    :meth:`delete_record`; everything else has a correct (if unindexed)
-    default built on those.  ``flush``/``close`` are no-ops for backends
-    that write through immediately.  Checkpoints are the same on every
-    backend: the store only names a job's checkpoint file
+    :meth:`delete_record`; resume, the findings projection and export
+    are built on those.  The store only names a job's checkpoint file
     (:meth:`checkpoint_path_for`) and drops a leftover one
     (:meth:`clear_checkpoint`).
     """
 
-    #: backend key as selected by ``--store`` / ``REPRO_STORE``
-    name = "abstract"
-
     def __init__(self, root) -> None:
         self.root = Path(root)
+        if (self.root / LEGACY_DB_NAME).exists():
+            raise LegacyStoreError(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.temps_swept = sweep_stale_temps(self.root)
         # per-store observability (mirrored process-wide via the module
         # totals + snapshot collector above)
         self.records_saved = 0
         self.records_loaded = 0
-        self.rows_written = 0
-        self.batch_flushes = 0
         self.queries = 0
         self.query_time_s = 0.0
 
     # -- paths ----------------------------------------------------------------
 
     def path_for(self, job: CampaignJob) -> Path:
-        """The per-file layout path for ``job``'s record — where the JSON
-        backend keeps it, and where ``export`` materializes it."""
+        """Where ``job``'s record lives."""
         return self.root / f"{job.job_id}.json"
 
     def live_telemetry_path(self) -> Path:
@@ -395,25 +408,21 @@ class StoreBackend:
     def canonical_records(self) -> dict:
         """``job_id`` → exact canonical record text, for every record.
 
-        This is the byte-identity surface: both backends must return the
-        same text for the same outcomes, whatever their storage engine.
+        The one way to enumerate records, and the byte-identity surface
+        the golden-fixture tests diff.  Raises
+        :class:`UnreadableRecordsError` naming every record that is not a
+        UTF-8 JSON object.
         """
         raise NotImplementedError
 
     def delete_record(self, job_id: str) -> bool:
-        """Drop one record (and its projection rows); True if it existed."""
+        """Drop one record; True if it existed."""
         raise NotImplementedError
 
-    def export(self, dest=None) -> list:
-        """Materialize every record into the per-file layout under
-        ``dest`` (default: this store's root) and return the paths.
-
-        Because records are stored as exact canonical text, an export
-        from any backend is byte-identical to what the JSON backend
-        would have written in the first place — this is the round-trip
-        the golden-fixture tests diff.
-        """
-        dest = self.root if dest is None else Path(dest)
+    def export(self, dest) -> list:
+        """Copy every record, byte for byte, into the directory ``dest``
+        and return the paths."""
+        dest = Path(dest)
         dest.mkdir(parents=True, exist_ok=True)
         return [atomic_write_text(dest / f"{job_id}.json", text)
                 for job_id, text in sorted(self.canonical_records().items())]
@@ -421,8 +430,8 @@ class StoreBackend:
     def load_fresh(self, jobs) -> dict:
         """``job_id`` → cached outcome for every job with a fresh record.
 
-        The resume path.  The default loads job-by-job; the SQLite
-        backend overrides it with one indexed query.
+        The resume path: loads job-by-job, so a mangled or stale record
+        is simply absent and its cell re-runs.
         """
         out = {}
         for job in jobs:
@@ -431,29 +440,18 @@ class StoreBackend:
                 out[job.job_id] = outcome
         return out
 
-    def fresh_ids(self, jobs) -> set:
-        """Job ids whose persisted record is a reusable cache (matching
-        fingerprint, ``ok`` status) — the resume *scan*, without
-        materializing outcomes."""
-        return set(self.load_fresh(jobs))
-
     def query_findings(self, contract=None, bug_class=None, severity=None,
                        fingerprint=None, job_id=None, preset=None) -> list:
         """Finding rows (see :func:`finding_rows_from_record`) filtered by
         any combination of coordinates, in deterministic order.
 
-        The default scans and parses every record — correct everywhere,
-        O(records); the SQLite backend answers from its indexed
-        projection instead.
+        Scans and parses every record; an unreadable one raises
+        :class:`UnreadableRecordsError` rather than dropping its findings.
         """
         start = time.perf_counter()
         rows = []
         for _jid, text in sorted(self.canonical_records().items()):
-            try:
-                record = json.loads(text)
-            except ValueError:
-                continue
-            rows.extend(finding_rows_from_record(record))
+            rows.extend(finding_rows_from_record(json.loads(text)))
         rows = [row for row in rows
                 if _row_matches(row, contract, bug_class, severity,
                                 fingerprint, job_id, preset)]
@@ -462,7 +460,7 @@ class StoreBackend:
         return rows
 
     def flush(self) -> None:
-        """Make every buffered write durable (no-op for write-through)."""
+        """Make every write durable: a no-op, as every save is fsynced."""
 
     def close(self) -> None:
         self.flush()
@@ -474,9 +472,9 @@ class StoreBackend:
         self.close()
 
     # -- mid-campaign checkpoints ---------------------------------------------
-    # Live checkpoints are plain files on every backend: they are written
-    # *by the workers themselves* (single writer per job, holding only a
-    # path), so they never contend with the scheduler's record writes.
+    # Live checkpoints are plain files written *by the workers themselves*
+    # (single writer per job, holding only a path), so they never contend
+    # with the scheduler's record writes.
 
     def checkpoint_path_for(self, job: CampaignJob) -> Path:
         return checkpoint_path(self.root, job)
@@ -489,34 +487,22 @@ class StoreBackend:
     def stats_dict(self) -> dict:
         """This store's counters, for ``MatrixRun.stats`` / ``repro top``."""
         return {
-            "backend": self.name,
             "records_saved": self.records_saved,
             "records_loaded": self.records_loaded,
-            "rows_written": self.rows_written,
-            "batch_flushes": self.batch_flushes,
             "queries": self.queries,
             "query_ms": round(self.query_time_s * 1000.0, 3),
             "temps_swept": self.temps_swept,
         }
 
-    def _count_saved(self, rows: int = 1) -> None:
-        global _records_saved_total, _rows_written_total
+    def _count_saved(self) -> None:
+        global _records_saved_total
         self.records_saved += 1
-        self.rows_written += rows
         _records_saved_total += 1
-        _rows_written_total += rows
 
     def _count_loaded(self, n: int = 1) -> None:
         global _records_loaded_total
         self.records_loaded += n
         _records_loaded_total += n
-
-    def _count_flush(self, rows: int = 0) -> None:
-        global _batch_flushes_total, _rows_written_total
-        self.batch_flushes += 1
-        self.rows_written += rows
-        _batch_flushes_total += 1
-        _rows_written_total += rows
 
     def _count_query(self, seconds: float) -> None:
         global _queries_total, _query_us_total

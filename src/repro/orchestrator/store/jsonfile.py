@@ -1,4 +1,4 @@
-"""The canonical-JSON-per-file backend — the determinism reference.
+"""The result store: one canonical-JSON file per job.
 
 One result file per job under the results directory, named by ``job_id``.
 Files are written in canonical form — sorted keys, fixed separators,
@@ -14,9 +14,12 @@ only reused when the fingerprint still matches, so editing a contract or
 a config re-runs exactly the affected cells.  Only ``ok`` outcomes are
 persisted — errors and timeouts are retried on the next run.
 
-This layout *is* the export format: :meth:`StoreBackend.export` of any
-backend materializes exactly these files, and the golden-fixture tests
-hold the SQLite backend byte-identical to it.
+This layout *is* the export format: :meth:`StoreBackend.export` copies
+exactly these files.  Resume is tolerant — a mangled record reads as
+absent and its cell re-runs — but enumeration is strict:
+:meth:`JsonResultStore.canonical_records`, which ``repro report``,
+``repro replay`` and ``export`` read through, names every unreadable
+record instead of skipping it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.orchestrator.store.base import (
     CHECKPOINT_SUFFIX,
     TELEMETRY_SUFFIX,
     StoreBackend,
+    UnreadableRecordsError,
     atomic_write_text,
     build_record,
     outcome_from_record,
@@ -39,8 +43,6 @@ from repro.orchestrator.store.base import (
 
 class JsonResultStore(StoreBackend):
     """Directory of per-job campaign result records."""
-
-    name = "json"
 
     def _record_paths(self):
         return sorted(path for path in self.root.glob("*.json")
@@ -73,12 +75,20 @@ class JsonResultStore(StoreBackend):
         return {path.stem for path in self._record_paths()}
 
     def canonical_records(self) -> dict:
-        out = {}
+        out, unreadable = {}, []
         for path in self._record_paths():
             try:
-                out[path.stem] = path.read_text()
+                text = path.read_text()
+                if isinstance(json.loads(text), dict):
+                    out[path.stem] = text
+                    continue
             except OSError:  # raced with a concurrent delete
                 continue
+            except ValueError:  # truncated, or not UTF-8
+                pass
+            unreadable.append(path)
+        if unreadable:
+            raise UnreadableRecordsError(unreadable)
         return out
 
     def delete_record(self, job_id: str) -> bool:

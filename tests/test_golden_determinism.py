@@ -114,14 +114,11 @@ def test_block_fusion_is_transparent_to_golden_fixture(on):
     _assert_toggle_transparent("fuse", on)
 
 
-@pytest.mark.parametrize("store_backend", ("json", "sqlite"))
-def test_store_backend_transparent_to_golden_fixture(store_backend,
-                                                     tmp_path):
-    """One fixture, both result stores: persisting through the per-file
-    json reference layout or the WAL-mode SQLite backend must change
-    nothing — the in-memory results still match the golden fixture, and
-    the *persisted canonical records* are byte-identical across backends
-    (SQLite's export round-trips to the exact per-file bytes)."""
+def test_result_store_transparent_to_golden_fixture(tmp_path):
+    """Persisting through the result store changes nothing: the
+    in-memory results still match the golden fixture, the persisted
+    records are byte-identical to saving the same outcomes afresh, and
+    an export copies them byte for byte."""
     from repro.orchestrator.store import ResultStore
 
     assert GOLDEN_PATH.exists(), \
@@ -129,27 +126,23 @@ def test_store_backend_transparent_to_golden_fixture(store_backend,
     results_dir = tmp_path / "results"
     run = run_matrix(_golden_contracts(), presets=PRESETS, trials=1,
                      overrides=dict(OVERRIDES), workers=WORKERS,
-                     backend="inline", results_dir=results_dir,
-                     store=store_backend)
-    assert not run.errors and not run.timeouts, (store_backend, run.errors)
+                     backend="inline", results_dir=results_dir)
+    assert not run.errors and not run.timeouts, run.errors
     record = {o.job.job_id: {**o.result.to_dict(), "wall_time": 0.0}
               for o in run.outcomes}
     assert canonical_json(record) == GOLDEN_PATH.read_text(), \
-        (f"store={store_backend} diverged from the golden campaign "
-         f"fixture — the result store must never touch results")
+        ("the persisted run diverged from the golden campaign fixture — "
+         "the result store must never touch results")
 
     with ResultStore(results_dir) as store:
-        assert store.name == store_backend
         persisted = store.canonical_records()
-        if store_backend == "sqlite":
-            exported = store.export(tmp_path / "exported")
-            assert {p.stem: p.read_text() for p in exported} == persisted
-    with ResultStore(tmp_path / "reference", backend="json") as ref:
+        exported = store.export(tmp_path / "exported")
+    assert {p.stem: p.read_text() for p in exported} == persisted
+    with ResultStore(tmp_path / "reference") as ref:
         for outcome in run.outcomes:
             ref.save(outcome)
         assert ref.canonical_records() == persisted, \
-            (f"store={store_backend} persisted records diverged from the "
-             f"per-file reference layout")
+            "persisted records diverged from a fresh save of the outcomes"
 
 
 @pytest.mark.parametrize("backend, tier", BACKEND_TIERS)

@@ -139,22 +139,6 @@ class TestResultStore:
         store.save(execute_job(job))
         assert store.canonical_records()[job.job_id] == first
 
-    def test_canonical_records_identical_across_backends(self, tmp_path):
-        """The byte-identity surface: both store backends persist the
-        exact same canonical record text for the same outcome, and the
-        sqlite export materializes the json backend's files."""
-        outcome = execute_job(_job())
-        stores = {name: ResultStore(tmp_path / name, backend=name)
-                  for name in ("json", "sqlite")}
-        for store in stores.values():
-            store.save(outcome)
-        canon = {name: store.canonical_records()
-                 for name, store in stores.items()}
-        assert canon["json"] == canon["sqlite"]
-        exported = stores["sqlite"].export(tmp_path / "exported")
-        assert [p.read_text() for p in exported] == \
-            [stores["json"].path_for(_job()).read_text()]
-
 
 class TestRunMatrix:
     def test_resume_skips_completed_jobs(self, tmp_path):
@@ -174,18 +158,17 @@ class TestRunMatrix:
     @pytest.mark.parametrize("payload", [
         pytest.param(b'{"schema": 2, "fingerprint": "', id="truncated"),
         pytest.param(b"\xff\xfe not utf-8", id="non-utf8")])
-    @pytest.mark.parametrize("store", ["json", "sqlite"])
-    def test_mangled_checkpoint_runs_fresh(self, tmp_path, store, payload):
+    def test_mangled_checkpoint_runs_fresh(self, tmp_path, payload):
         """A checkpoint file that does not parse is no checkpoint: the
         cell runs fresh to the clean result and consumes the file, instead
         of failing on every re-run."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE)]
         kw = dict(presets=("mufuzz",), trials=1, overrides=FAST, workers=1)
         (clean,) = run_matrix(contracts, **kw).outcomes
-        with ResultStore(tmp_path, backend=store) as results:
+        with ResultStore(tmp_path) as results:
             planted = results.checkpoint_path_for(clean.job)
         planted.write_bytes(payload)
-        run = run_matrix(contracts, **kw, results_dir=tmp_path, store=store,
+        run = run_matrix(contracts, **kw, results_dir=tmp_path,
                          checkpoint_every=3)
         (outcome,) = run.outcomes
         assert outcome.ok, outcome.error
@@ -193,14 +176,12 @@ class TestRunMatrix:
             {**clean.result.to_dict(), "wall_time": 0.0}
         assert not planted.exists()
 
-    @pytest.mark.parametrize("store", ["json", "sqlite"])
-    def test_cached_cell_drops_its_leftover_checkpoint(self, tmp_path,
-                                                       store):
+    def test_cached_cell_drops_its_leftover_checkpoint(self, tmp_path):
         """A checkpoint left next to a stored record (a crash between
         saving the result and consuming the file) is swept on re-run."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE)]
         kw = dict(presets=("mufuzz",), trials=1, overrides=FAST, workers=1,
-                  results_dir=tmp_path, store=store, checkpoint_every=3)
+                  results_dir=tmp_path, checkpoint_every=3)
         (outcome,) = run_matrix(contracts, **kw).outcomes
         with ResultStore(tmp_path) as results:
             leftover = results.checkpoint_path_for(outcome.job)
@@ -339,6 +320,26 @@ class TestBackends:
         # warmth for bounded per-process memory
         assert engine.stats["compile_cache_misses"] == 3
         assert engine.stats["compile_cache_hits"] == 3
+
+    def test_pool_dispatches_before_settling(self):
+        """A worker that reports a result gets its next job before the
+        scheduler settles (and, under run_matrix, saves) that result."""
+        jobs = [_job(trial=t) for t in range(3)]
+        engine = create_backend("pool", workers=1)
+        log = []
+        payload = engine.job_payload
+
+        def logged_payload(job):
+            log.append(("dispatch", job.job_id))
+            return payload(job)
+
+        engine.job_payload = logged_payload
+        outcomes = engine.run(
+            jobs, progress=lambda o: log.append(("settle", o.job.job_id)))
+        assert all(o.ok for o in outcomes)
+        first, second = jobs[0].job_id, jobs[1].job_id
+        assert log.index(("dispatch", second)) < \
+            log.index(("settle", first)), log
 
     def test_pool_timeout_kills_worker_and_queue_continues(self):
         """Timeout kill, a captured per-job error, and unaffected

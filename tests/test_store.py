@@ -1,10 +1,10 @@
-"""The result-store package: backend parity, durability, and scale hooks.
+"""The result-store package: records, durability, and refusals.
 
-Covers the store split (json per-file reference vs WAL-mode sqlite):
-byte-identical canonical records across backends, export round-trips,
-buffered-write flush semantics, the indexed findings projection,
-checkpoint files on a sqlite store root, stale temp-file sweeping, concurrent multi-process writers (no lost or torn records), and
-a hypothesis round-trip of records through sqlite back to canonical JSON.
+Covers save/load/resume, export round-trips, the findings projection,
+checkpoint files on a store root, stale temp-file sweeping, concurrent
+multi-process writers (no lost or torn records), a hypothesis round-trip
+of records back to canonical JSON, and the loud refusal of a results
+directory the retired database backend wrote.
 """
 
 from __future__ import annotations
@@ -20,25 +20,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.campaign import CampaignResult
 from repro.engine.checkpoint import CampaignCheckpoint, canonical_json
 from repro.oracles.base import SEVERITIES, BugClass, Finding
-from repro.orchestrator import CampaignJob, create_backend
+from repro.orchestrator import CampaignJob, create_backend, run_matrix
 from repro.orchestrator.jobs import JobOutcome
 from repro.orchestrator.store import (
-    DB_NAME,
     JsonResultStore,
+    LegacyStoreError,
     ResultStore,
-    SqliteResultStore,
     atomic_write_text,
     build_record,
     finding_fingerprint,
     read_checkpoint_file,
-    resolve_store_backend,
     write_checkpoint_file,
 )
-
-BACKEND_NAMES = ("json", "sqlite")
 
 #: a source that is never compiled here — store tests exercise
 #: persistence, not fuzzing, so records are synthesized
@@ -81,51 +78,19 @@ def _checkpoint(contract: str = "C") -> CampaignCheckpoint:
         oracle_state={}, loop={}, fuzzer="MuFuzz", contract=contract)
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def store(request, tmp_path):
-    store = ResultStore(tmp_path / "results", backend=request.param)
+@pytest.fixture
+def store(tmp_path):
+    store = ResultStore(tmp_path / "results")
     yield store
     store.close()
 
 
 class TestBackendSelection:
-    def test_explicit_backend_wins(self, tmp_path):
-        assert ResultStore(tmp_path / "a", backend="json").name == "json"
-        assert ResultStore(tmp_path / "b",
-                           backend="sqlite").name == "sqlite"
-
-    def test_existing_store_keeps_its_format(self, tmp_path, monkeypatch):
-        sql_dir, json_dir = tmp_path / "sql", tmp_path / "json"
-        ResultStore(sql_dir, backend="sqlite").close()
-        json_store = ResultStore(json_dir, backend="json")
-        json_store.save(_outcome(_job()))
-        # even with the env pointing the other way, an existing store is
-        # never silently forked into a second format
-        monkeypatch.setenv("REPRO_STORE", "json")
-        assert resolve_store_backend(sql_dir) == "sqlite"
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_store_backend(json_dir) == "json"
-
-    def test_env_applies_to_fresh_directories_only(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_store_backend(tmp_path / "fresh") == "sqlite"
-        monkeypatch.delenv("REPRO_STORE")
-        assert resolve_store_backend(tmp_path / "fresh2") == "json"
-
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown store backend"):
-            ResultStore(tmp_path, backend="postgres")
-
-    def test_checkpoints_do_not_pin_a_format(self, tmp_path, monkeypatch):
-        """A directory holding only checkpoint files (interrupted before
-        any record settled) is still 'fresh' for format selection."""
-        store = ResultStore(tmp_path / "r", backend="json")
-        job = _job()
-        write_checkpoint_file(store.checkpoint_path_for(job), _checkpoint(),
-                              job.fingerprint())
-        monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert resolve_store_backend(tmp_path / "r") == "sqlite"
+            run_matrix([("C", SOURCE)], presets=("mufuzz",),
+                       results_dir=tmp_path, store="postgres")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:
@@ -145,16 +110,15 @@ class TestRoundTrip:
         store.save(_outcome(_job()))
         edited = _job(source=SOURCE + "\n// edited\n")
         assert store.load(edited) is None
-        assert store.fresh_ids([edited]) == set()
+        assert store.load_fresh([edited]) == {}
         assert store.completed_ids() == {_job().job_id}
 
-    def test_fresh_ids_and_load_fresh(self, store):
+    def test_load_fresh(self, store):
         jobs = [_job(trial=t) for t in range(3)]
         for job in jobs[:2]:
             store.save(_outcome(job))
-        assert store.fresh_ids(jobs) == {j.job_id for j in jobs[:2]}
         loaded = store.load_fresh(jobs)
-        assert sorted(loaded) == sorted(j.job_id for j in jobs[:2])
+        assert set(loaded) == {j.job_id for j in jobs[:2]}
         assert all(o.ok for o in loaded.values())
 
     def test_failures_not_persisted(self, store):
@@ -172,31 +136,15 @@ class TestRoundTrip:
 
 
 class TestCanonicalParity:
-    def test_identical_canonical_text_across_backends(self, tmp_path):
-        jobs = [_job(trial=t) for t in range(3)]
-        outcomes = [_outcome(job, findings=[_finding(pc=10 + t)])
-                    for t, job in enumerate(jobs)]
-        canon = {}
-        for name in BACKEND_NAMES:
-            with ResultStore(tmp_path / name, backend=name) as store:
-                for outcome in outcomes:
-                    store.save(outcome)
-                canon[name] = store.canonical_records()
-        assert canon["json"] == canon["sqlite"]
-        assert len(canon["json"]) == 3
-
     def test_export_round_trips_to_per_file_layout(self, tmp_path):
         outcome = _outcome(_job(), findings=[_finding()])
-        with ResultStore(tmp_path / "db", backend="sqlite") as store:
-            store.save(outcome)
+        with ResultStore(tmp_path / "src") as store:
+            saved = store.save(outcome)
             paths = store.export(tmp_path / "out")
-        with ResultStore(tmp_path / "ref", backend="json") as ref:
-            ref_path = ref.save(outcome)
-        assert [p.name for p in paths] == [ref_path.name]
-        assert paths[0].read_bytes() == ref_path.read_bytes()
-        # the exported directory is itself a working json store
+        assert [p.name for p in paths] == [saved.name]
+        assert paths[0].read_bytes() == saved.read_bytes()
+        # the exported directory is itself a working store
         with ResultStore(tmp_path / "out") as reread:
-            assert reread.name == "json"
             assert reread.load(_job()) is not None
 
 
@@ -236,16 +184,6 @@ class TestFindingsProjection:
         assert store.query_findings(contract="C", severity="low") == []
         assert store.query_findings(bug_class=[]) == []
 
-    def test_filtered_rows_identical_across_backends(self, tmp_path):
-        results = {}
-        for name in BACKEND_NAMES:
-            with ResultStore(tmp_path / name, backend=name) as store:
-                self._populate(store)
-                results[name] = (store.query_findings(),
-                                 store.query_findings(contract="C",
-                                                      bug_class="RE"))
-        assert results["json"] == results["sqlite"]
-
     def test_severities_cover_the_ladder(self, store):
         self._populate(store)
         assert {r["severity"] for r in store.query_findings()} == \
@@ -271,7 +209,7 @@ class TestAtomicWrites:
         assert renames == [("j.checkpoint.json.tmp", "j.checkpoint.json")]
 
     def test_checkpoint_write_uses_appended_temp(self, tmp_path):
-        store = ResultStore(tmp_path, backend="json")
+        store = ResultStore(tmp_path)
         job = _job()
         path = store.checkpoint_path_for(job)
         write_checkpoint_file(path, _checkpoint(), job.fingerprint())
@@ -281,8 +219,7 @@ class TestAtomicWrites:
         assert not list(tmp_path.glob("*.tmp"))
         assert not list(tmp_path.glob("*.checkpoint"))
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_stale_temps_swept_on_open(self, tmp_path, backend):
+    def test_stale_temps_swept_on_open(self, tmp_path):
         root = tmp_path / "results"
         root.mkdir()
         stale = root / "dead.json.tmp"
@@ -291,66 +228,19 @@ class TestAtomicWrites:
         os.utime(stale, (old, old))
         fresh = root / "live.json.tmp"
         fresh.write_text("{ in flight")
-        store = ResultStore(root, backend=backend)
+        store = ResultStore(root)
         assert not stale.exists()  # crashed writer's orphan: swept
         assert fresh.exists()      # a concurrent writer's: kept
         assert store.temps_swept == 1
         store.close()
 
 
-class TestSqliteBuffering:
-    def test_writes_are_batched_until_flush(self, tmp_path):
-        root = tmp_path / "r"
-        store = ResultStore(root, backend="sqlite", batch_size=1000,
-                            flush_interval=3600.0)
-        for trial in range(5):
-            store.save(_outcome(_job(trial=trial)))
-        # a second, independent connection must not see unflushed rows
-        with ResultStore(root) as observer:
-            assert observer.completed_ids() == set()
-        store.flush()
-        with ResultStore(root) as observer:
-            assert len(observer.completed_ids()) == 5
-        assert store.stats_dict()["batch_flushes"] >= 1
-        assert store.stats_dict()["rows_written"] >= 5
-        store.close()
-
-    def test_batch_size_threshold_forces_flush(self, tmp_path):
-        root = tmp_path / "r"
-        store = ResultStore(root, backend="sqlite", batch_size=2,
-                            flush_interval=3600.0)
-        store.save(_outcome(_job(trial=0)))
-        store.save(_outcome(_job(trial=1)))  # hits the threshold
-        with ResultStore(root) as observer:
-            assert len(observer.completed_ids()) == 2
-        store.close()
-
-    def test_reads_flush_first(self, tmp_path):
-        store = ResultStore(tmp_path / "r", backend="sqlite",
-                            batch_size=1000, flush_interval=3600.0)
-        job = _job()
-        store.save(_outcome(job))
-        # same store: any read path must observe its own buffered writes
-        assert store.completed_ids() == {job.job_id}
-        store.close()
-
-    def test_close_flushes(self, tmp_path):
-        root = tmp_path / "r"
-        store = ResultStore(root, backend="sqlite", batch_size=1000,
-                            flush_interval=3600.0)
-        store.save(_outcome(_job()))
-        store.close()
-        with ResultStore(root) as observer:
-            assert len(observer.completed_ids()) == 1
-
-
 class TestCheckpointBlobs:
-    """Checkpoints on a sqlite store root: the database holds none of
-    them, so they are the same plain worker-written files as on the json
-    backend."""
+    """Checkpoints on a store root: plain worker-written files next to
+    the records, never records themselves."""
 
     def test_checkpoint_round_trip_and_file_transport(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
+        store = ResultStore(tmp_path)
         job = _job()
         path = store.checkpoint_path_for(job)
         assert path == tmp_path / f"{job.job_id}.checkpoint.json"
@@ -368,7 +258,7 @@ class TestCheckpointBlobs:
         """A checkpoint file that is truncated, carries another job's
         fingerprint, or is not UTF-8 is never trusted: the job resumes
         fresh."""
-        store = ResultStore(tmp_path, backend="sqlite")
+        store = ResultStore(tmp_path)
         job = _job()
         path = store.checkpoint_path_for(job)
         write_checkpoint_file(path, _checkpoint(), job.fingerprint())
@@ -384,7 +274,7 @@ class TestCheckpointBlobs:
         store.close()
 
     def test_resaving_repairs_a_corrupt_checkpoint(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
+        store = ResultStore(tmp_path)
         job = _job()
         path = store.checkpoint_path_for(job)
         write_checkpoint_file(path, _checkpoint(), job.fingerprint())
@@ -397,7 +287,7 @@ class TestCheckpointBlobs:
         store.close()
 
     def test_clear_checkpoint_releases_blob_and_file(self, tmp_path):
-        store = ResultStore(tmp_path, backend="sqlite")
+        store = ResultStore(tmp_path)
         job = _job()
         path = store.checkpoint_path_for(job)
         write_checkpoint_file(path, _checkpoint(), job.fingerprint())
@@ -414,11 +304,8 @@ from repro.orchestrator import CampaignJob
 from repro.orchestrator.jobs import JobOutcome
 from repro.orchestrator.store import ResultStore
 
-root, backend, worker, count = (sys.argv[1], sys.argv[2], int(sys.argv[3]),
-                                int(sys.argv[4]))
-kwargs = {"batch_size": 7, "flush_interval": 0.01} \
-    if backend == "sqlite" else {}
-store = ResultStore(root, backend=backend, **kwargs)
+root, worker, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+store = ResultStore(root)
 for i in range(count):
     job = CampaignJob(name=f"W{worker}", preset="mufuzz", trial=i,
                       source="contract C { function f() public { } }",
@@ -432,32 +319,29 @@ store.close()
 
 
 class TestConcurrentWriters:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_parallel_processes_lose_nothing(self, tmp_path, backend):
+    def test_parallel_processes_lose_nothing(self, tmp_path):
         """N processes hammer one store; every record must land intact
         (parseable, canonical, fingerprint-correct) — no lost writes, no
-        torn rows, even with sqlite's buffered writer flushing under
-        cross-process lock contention."""
+        torn files."""
         workers, per_worker = 4, 25
         root = tmp_path / "shared"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
         procs = [subprocess.Popen(
-            [sys.executable, "-c", _STRESS_WORKER, str(root), backend,
+            [sys.executable, "-c", _STRESS_WORKER, str(root),
              str(w), str(per_worker)], env=env)
             for w in range(workers)]
         for proc in procs:
             assert proc.wait(timeout=120) == 0
         with ResultStore(root) as store:
-            assert store.name == backend
             canonical = store.canonical_records()
             assert len(canonical) == workers * per_worker
             jobs = [_job(name=f"W{w}", trial=i)
                     for w in range(workers) for i in range(per_worker)]
-            assert store.fresh_ids(jobs) == {j.job_id for j in jobs}
+            assert set(store.load_fresh(jobs)) == {j.job_id for j in jobs}
             for job in jobs:
                 # byte-exact: the canonical text is exactly what a lone
-                # writer would have produced — torn or interleaved rows
+                # writer would have produced — torn or interleaved writes
                 # cannot survive this comparison
                 expected = canonical_json(build_record(
                     JobOutcome(job=job, status="ok",
@@ -501,16 +385,16 @@ class TestHypothesisRoundTrip:
                                max_size=3)))
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_sqlite_round_trips_to_canonical_json(self, tmp_path, findings,
+    def test_record_round_trips_to_canonical_json(self, tmp_path, findings,
                                                   coverage, telemetry):
-        """Any record pushed through the sqlite backend comes back as the
-        exact canonical JSON the reference backend would have written,
-        and loads back to an equal result."""
+        """Any record pushed through the store comes back as the exact
+        canonical JSON of its outcome, and loads back to an equal
+        result."""
         job = _job()
         outcome = _outcome(job, findings=findings, telemetry=telemetry,
                            coverage=coverage)
         expected_text = canonical_json(build_record(outcome))
-        with ResultStore(tmp_path / "db", backend="sqlite") as store:
+        with ResultStore(tmp_path / "db") as store:
             store.save(outcome)
             assert store.canonical_records() == {job.job_id: expected_text}
             loaded = store.load(job)
@@ -523,33 +407,59 @@ class TestHypothesisRoundTrip:
 
 
 class TestStoreStats:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_stats_dict_counts_activity(self, tmp_path, backend):
-        with ResultStore(tmp_path / "r", backend=backend) as store:
+    def test_stats_dict_counts_activity(self, tmp_path):
+        with ResultStore(tmp_path / "r") as store:
             job = _job()
             store.save(_outcome(job, findings=[_finding()]))
-            store.flush()
             store.load(job)
             store.query_findings()
             stats = store.stats_dict()
-        assert stats["backend"] == backend
         assert stats["records_saved"] == 1
         assert stats["records_loaded"] >= 1
-        if backend == "sqlite":
-            assert stats["batch_flushes"] >= 1
-            assert stats["rows_written"] >= 2  # record + finding row
         assert stats["queries"] >= 1
 
-    def test_db_file_not_mistaken_for_a_record(self, tmp_path):
-        with ResultStore(tmp_path, backend="sqlite") as store:
-            store.save(_outcome(_job()))
-        assert (tmp_path / DB_NAME).exists()
-        # a json store never globs results.db
-        ids = JsonResultStore(tmp_path).completed_ids()
-        assert DB_NAME not in {f"{i}.json" for i in ids}
-
     def test_factory_returns_expected_classes(self, tmp_path):
-        assert isinstance(ResultStore(tmp_path / "a", backend="json"),
-                          JsonResultStore)
-        assert isinstance(ResultStore(tmp_path / "b", backend="sqlite"),
-                          SqliteResultStore)
+        assert isinstance(ResultStore(tmp_path / "a"), JsonResultStore)
+
+
+class TestLoudFailures:
+    """A store that cannot be read ends in a nonzero exit naming the
+    culprit, never in a silently smaller or re-run result."""
+
+    @pytest.mark.parametrize("command", ["report", "replay"])
+    def test_unreadable_records_are_named(self, tmp_path, capsys, command):
+        root = tmp_path / "results"
+        with ResultStore(root) as store:
+            paths = [store.save(_outcome(_job(trial=t),
+                                         findings=[_finding(pc=10 + t)]))
+                     for t in range(3)]
+        truncated, non_utf8 = paths[1], paths[2]
+        truncated.write_text(truncated.read_text()[:40])
+        non_utf8.write_bytes(b"\xff\xfe not utf-8")
+        assert main([command, str(root)]) == 2
+        err = capsys.readouterr().err
+        assert str(truncated) in err and str(non_utf8) in err
+        assert str(paths[0]) not in err
+        assert "re-running the campaign refreshes them" in err
+
+    def test_results_db_is_refused_on_every_open_path(self, tmp_path,
+                                                      capsys):
+        """A directory the retired database backend wrote is refused by
+        name, and nothing is written into it."""
+        root = tmp_path / "results"
+        root.mkdir()
+        (root / "results.db").write_bytes(b"SQLite format 3\x00")
+        contract = tmp_path / "c.sol"
+        contract.write_text(SOURCE)
+        with pytest.raises(LegacyStoreError, match="46555dd"):
+            run_matrix([("C", SOURCE)], presets=("mufuzz",),
+                       overrides={"iterations": 5}, workers=1,
+                       results_dir=root)
+        for argv in (["campaign", str(contract), "--fuzzers", "mufuzz",
+                      "--trials", "1", "--iterations", "5",
+                      "--workers", "1", "--results-dir", str(root)],
+                     ["report", str(root)],
+                     ["replay", str(root)]):
+            assert main(argv) == 2, argv
+            assert "46555dd" in capsys.readouterr().err, argv
+        assert [p.name for p in root.iterdir()] == ["results.db"]
