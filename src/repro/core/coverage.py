@@ -73,16 +73,6 @@ class CoverageTracker:
             return 1.0
         return min(1.0, len(self.covered) / self.total)
 
-    def uncovered_targets(self) -> list:
-        """Branch directions seen statically but not yet covered, as
-        (address, pc, taken) targets for distance feedback."""
-        out = []
-        for pc in self.artifact.branch_info:
-            for taken in (True, False):
-                if (pc, taken) not in self.covered:
-                    out.append((self.address, pc, taken))
-        return out
-
     def sample_curve(self, points: int = 20) -> list:
         """Down-sample the curve to ``points`` (for plotting/benches)."""
         if not self.curve:

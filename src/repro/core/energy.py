@@ -100,11 +100,6 @@ class EnergyScheduler:
         scale = 1.0 + 1.0 / max(rarest, 1)
         return min(self.max_energy, max(1, round(self.base_energy * scale)))
 
-    # -- reporting ---------------------------------------------------------------------
-
-    def weight_of(self, pc: int) -> float:
-        return self.weights.get(pc, 0.0)
-
     # -- checkpoint serialization ------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -39,18 +39,16 @@ against the mask — the machine derives its ``rec_*`` flags from the same
 unconditionally and unsubscribed ones produce no generated code at all.
 Ops without an inline expansion dispatch through the **same per-opcode
 handler functions** as the table loop, so trace and rollback semantics
-are untouched by construction.  Three tiers:
+are untouched by construction.  Two tiers:
 
 * **fused** — the generated closure described above (the common case);
-* **interp** — blocks containing a gas-observing opcode (GAS / CALL /
-  DELEGATECALL): those handlers read the running gas counter, so the block
-  executes with exact per-instruction gas/step accounting over a
-  precomputed entry list (the PR 3 table semantics, minus the per-pc
-  probes);
-* **bailout** — blocks containing an undefined byte or an
-  always-raising opcode (CREATE, unhandled): the closure immediately
-  returns the :data:`FUSION_BAILOUT` sentinel and the machine finishes the
-  frame on the plain table loop, reproducing the exact error.
+* **bailout** — blocks the closures cannot run exactly: a gas-observing
+  opcode (GAS / CALL / DELEGATECALL, whose handlers read the running gas
+  counter per instruction), an undefined byte, or an always-raising
+  opcode (CREATE, unhandled).  The closure immediately returns the
+  :data:`FUSION_BAILOUT` sentinel and the machine finishes the frame on
+  the plain table loop, the reference path — which also means no fused
+  closure ever runs a nested frame.
 
 A fused closure may also *decline* at runtime (insufficient gas for the
 whole block, step budget nearly exhausted, stack precheck failure, dynamic
@@ -76,11 +74,11 @@ like the table loop; closures sync ``machine._steps`` (and
 step count and revert gas refund stay exact.
 
 Compilation is lazy.  Building a program classifies every block (chaining
-needs every tier up front) and builds the cheap interp and bailout
-closures, but each fused entry starts as a stub: its source is generated,
+needs every tier up front) and builds the cheap bailout closures, but
+each fused entry starts as a stub: its source is generated,
 ``compile()``d under ``<fusion:{digest}:{mask}:{start}>`` and ``exec``d
-the first time the trampoline, a threaded return or an interp block's
-successor lookup enters it, after which the real closure replaces the
+the first time the trampoline, a threaded return or a dynamic jump's
+block-map lookup enters it, after which the real closure replaces the
 stub everywhere.  The emitted code of an entry does not depend on when it
 compiles, so only entries a campaign actually runs pay for code
 generation.
@@ -99,25 +97,8 @@ import hashlib
 from repro.analysis.absint import fold_binary
 from repro.analysis.cfg import build_cfg
 from repro.cache import ContentCache
-from repro.evm.analysis import (
-    KIND_CALL,
-    KIND_DUP,
-    KIND_JUMP,
-    KIND_JUMPDEST,
-    KIND_JUMPI,
-    KIND_PUSH,
-    KIND_SIMPLE,
-    KIND_STOP,
-    KIND_SWAP,
-    analyze_code,
-)
-from repro.evm.errors import (
-    InvalidJump,
-    InvalidOpcode,
-    OutOfGas,
-    StackOverflow,
-    StackUnderflow,
-)
+from repro.evm.analysis import analyze_code
+from repro.evm.errors import InvalidJump
 from repro.evm.handlers import (
     CALLDATA_SHADOW,
     CALLER_SHADOW,
@@ -168,7 +149,8 @@ _TERMINATOR_OPS = frozenset({
 })
 
 #: the only handlers that read their ``gas`` argument — blocks containing
-#: one execute on the interp tier with exact per-instruction gas
+#: one take the bailout tier, where the table loop tracks exact
+#: per-instruction gas
 _GAS_OBSERVING = frozenset({Op.GAS, Op.CALL, Op.DELEGATECALL})
 
 #: comparison opcodes → handler name string (folding mirrors
@@ -185,7 +167,6 @@ _WRAP_FOLD = frozenset({Op.ADD, Op.SUB, Op.MUL})
 _PURE_FOLD = frozenset({Op.DIV, Op.MOD, Op.EXP, Op.XOR, Op.SHL, Op.SHR})
 
 TIER_FUSED = "fused"
-TIER_INTERP = "interp"
 TIER_BAILOUT = "bailout"
 
 # -- telemetry ----------------------------------------------------------------
@@ -202,7 +183,6 @@ TIER_BAILOUT = "bailout"
 _T_TOTALS = {
     "programs": _metrics.counter("fusion.programs_compiled"),
     "fused": _metrics.counter("fusion.blocks.fused"),
-    "interp": _metrics.counter("fusion.blocks.interp"),
     "bailout": _metrics.counter("fusion.blocks.bailout"),
     "compiled": _metrics.counter("fusion.entries_compiled"),
     "folded": _metrics.counter("fusion.folded_ops"),
@@ -295,7 +275,7 @@ def _classify(block) -> tuple[str, str | None]:
             # defined-but-unimplemented: raises InvalidOpcode when reached
             return TIER_BAILOUT, "raising"
     if reason is not None:
-        return TIER_INTERP, reason
+        return TIER_BAILOUT, reason
     return TIER_FUSED, None
 
 
@@ -1161,115 +1141,6 @@ def _emit_segment(block, analysis, cfg, mask, hname, sname, bname, out,
             chain_or_goto(fall)
 
 
-# -- interp tier --------------------------------------------------------------
-
-
-def _make_interp_block(block, analysis, blocks):
-    """Per-opcode execution over a precomputed entry list: exact table-loop
-    semantics (gas decremented and step budget checked per instruction —
-    required because this tier exists precisely for the handlers that read
-    the running gas counter), minus the per-pc decode probes."""
-    decoded = analysis.decoded
-    jumpdests = analysis.jumpdests
-    code_len = analysis.code_len
-    end = block.end
-    entries = []
-    for ins in block.instructions:
-        kind, cost, a, b = decoded[ins.pc]
-        entries.append((kind, cost, a, b, ins.pc,
-                        ins.opcode == Op.REVERT))
-
-    def run(m, frame, depth, gas, steps):
-        stack = frame.stack
-        values = stack.values
-        shadows = stack.shadows
-        max_steps = m.max_steps
-        try:
-            for kind, cost, a, b, pc, sync in entries:
-                steps += 1
-                if steps > max_steps:
-                    raise OutOfGas("per-transaction step budget exhausted")
-                gas -= cost
-                if gas < 0:
-                    raise OutOfGas(f"out of gas at pc={pc}")
-                if kind == KIND_PUSH:
-                    if len(values) >= STACK_LIMIT:
-                        raise StackOverflow("stack limit of 1024 exceeded")
-                    values.append(a)
-                    shadows.append(EMPTY_SHADOW)
-                    continue
-                if kind == KIND_SIMPLE:
-                    if sync:
-                        m._sync_gas = gas
-                    result = a(m, pc, frame, depth, gas)
-                    if result is not None:
-                        tag, payload = result
-                        if tag == "halt":
-                            return None, gas, steps, payload
-                        gas = payload
-                    continue
-                if kind == KIND_CALL:
-                    m._steps = steps
-                    result = a(m, pc, frame, depth, gas)
-                    steps = m._steps
-                    gas = result[1]
-                    continue
-                if kind == KIND_DUP:
-                    stack.dup(a)
-                    continue
-                if kind == KIND_SWAP:
-                    stack.swap(a)
-                    continue
-                if kind == KIND_JUMPI:
-                    if not values:
-                        raise StackUnderflow("pop from empty stack")
-                    dest = values.pop()
-                    shadows.pop()
-                    if not values:
-                        raise StackUnderflow("pop from empty stack")
-                    cond = values.pop()
-                    cond_shadow = shadows.pop()
-                    taken = cond != 0
-                    m._record_branch(pc, frame.msg.address, depth, cond,
-                                     taken, dest, cond_shadow)
-                    if taken:
-                        if dest not in jumpdests:
-                            raise InvalidJump(f"JUMPI to {dest} at pc={pc}")
-                        nb = blocks.get(dest)
-                        if nb is None:
-                            return FUSION_BAILOUT, gas, steps, dest
-                        return nb, gas, steps, None
-                    continue
-                if kind == KIND_JUMP:
-                    if not values:
-                        raise StackUnderflow("pop from empty stack")
-                    shadows.pop()
-                    dest = values.pop()
-                    if dest not in jumpdests:
-                        raise InvalidJump(f"JUMP to {dest} at pc={pc}")
-                    nb = blocks.get(dest)
-                    if nb is None:
-                        return FUSION_BAILOUT, gas, steps, dest
-                    return nb, gas, steps, None
-                if kind == KIND_JUMPDEST:
-                    continue
-                if kind == KIND_STOP:
-                    return None, gas, steps, b""
-            if end >= code_len:
-                return None, gas, steps, b""
-            nb = blocks.get(end)
-            if nb is None:
-                return FUSION_BAILOUT, gas, steps, end
-            return nb, gas, steps, None
-        finally:
-            # keep the machine's step count exact across raising paths —
-            # the table loop's finally clause does the same
-            if steps > m._steps:
-                m._steps = steps
-
-    return run
-
-
 def _make_bailout_block(start: int):
     def run(m, frame, depth, gas, steps):
         return FUSION_BAILOUT, gas, steps, start
@@ -1294,21 +1165,21 @@ def _make_stub(start: int, materialize):
 def _compile_program(code: bytes, mask: int) -> FusedProgram:
     """Classify every block of ``code`` and build its block map.
 
-    Interp and bailout closures are built here; each fused-tier entry is
-    installed as a stub and generated, ``compile()``d and ``exec``d the
-    first time it is entered.  A campaign enters only a fraction of a
-    contract's entry points (and init code runs once, at deploy), so the
-    source of the entries never entered is never generated.  Generated
-    code reaches successors through ``B{start}`` globals in the shared
-    namespace and interp blocks through ``blocks`` — both maps hold the
-    stub until the entry compiles, then the real closure."""
+    Bailout closures are built here; each fused-tier entry is installed
+    as a stub and generated, ``compile()``d and ``exec``d the first time
+    it is entered.  A campaign enters only a fraction of a contract's
+    entry points (and init code runs once, at deploy), so the source of
+    the entries never entered is never generated.  Generated code
+    reaches static successors through ``B{start}`` globals in the shared
+    namespace and dynamic jump targets through ``blocks`` — both maps
+    hold the stub until the entry compiles, then the real closure."""
     analysis = analyze_code(code)
     cfg = build_cfg(code)
     digest = hashlib.sha256(code).hexdigest()[:12]
     blocks: dict[int, object] = {}
-    stats = {"blocks": len(cfg.blocks), "fused": 0, "interp": 0,
-             "bailout": 0, "compiled": 0, "folded": 0, "inlined": 0,
-             "threaded": 0, "chained": 0, "reasons": {}}
+    stats = {"blocks": len(cfg.blocks), "fused": 0, "bailout": 0,
+             "compiled": 0, "folded": 0, "inlined": 0, "threaded": 0,
+             "chained": 0, "reasons": {}}
     ns: dict = {
         "FB": FUSION_BAILOUT,
         "FS": _FUSED_STEPS,
@@ -1348,10 +1219,7 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
             uncompiled.add(start)
             continue
         stats["reasons"][reason] = stats["reasons"].get(reason, 0) + 1
-        if tier == TIER_INTERP:
-            blocks[start] = _make_interp_block(block, analysis, blocks)
-        else:
-            blocks[start] = _make_bailout_block(start)
+        blocks[start] = _make_bailout_block(start)
 
     def hname(op: int) -> str:
         name = f"H{op:02X}"
@@ -1407,13 +1275,13 @@ def _compile_program(code: bytes, mask: int) -> FusedProgram:
     for start in uncompiled:
         blocks[start] = _make_stub(start, materialize)
     # every block closure is reachable by name from generated code
-    # (threaded returns may target interp/bailout blocks too)
+    # (threaded returns may target bailout blocks too)
     for start, closure in blocks.items():
         ns[f"B{start}"] = closure
 
     program = FusedProgram(blocks, tiers, stats, materialize)
     _totals["programs"] += 1
-    for tier in (TIER_FUSED, TIER_INTERP, TIER_BAILOUT):
+    for tier in (TIER_FUSED, TIER_BAILOUT):
         _totals[tier] += stats[tier]
     for reason, count in stats["reasons"].items():
         _fallback_reasons[reason] = _fallback_reasons.get(reason, 0) + count
@@ -1435,7 +1303,6 @@ def fusion_stats() -> dict:
     return {
         "programs": _totals["programs"],
         "blocks_fused": _totals["fused"],
-        "blocks_interp": _totals["interp"],
         "blocks_bailout": _totals["bailout"],
         "entries_compiled": _totals["compiled"],
         "folded_ops": _totals["folded"],

@@ -304,8 +304,11 @@ class Machine:
             return ExecutionResult(
                 False, error=f"{type(exc).__name__}: {exc}", gas_left=0)
         finally:
-            # raising closures sync self._steps themselves; the max keeps
-            # the count exact when an exception escaped a nested call
+            # closures hand their step count back on return, and a
+            # raising one syncs self._steps itself before the raise (a
+            # nested frame is only ever started from the table loop, so
+            # no fused closure is suspended across one); the max keeps
+            # whichever count is further along
             if steps > self._steps:
                 self._steps = steps
 

@@ -136,18 +136,6 @@ def combine_or(a: Shadow, b: Shadow) -> Shadow:
 EV_ALL = (EV_BRANCH | EV_COMPARE | EV_CALL | EV_OVERFLOW | EV_STORAGE
           | EV_SELFDESTRUCT | EV_BLOCK | EV_ETHER)
 
-#: flag → human name (docs, bench labels, debugging)
-EVENT_KIND_NAMES = {
-    EV_BRANCH: "branch",
-    EV_COMPARE: "compare",
-    EV_CALL: "call",
-    EV_OVERFLOW: "overflow",
-    EV_STORAGE: "storage",
-    EV_SELFDESTRUCT: "selfdestruct",
-    EV_BLOCK: "block",
-    EV_ETHER: "ether",
-}
-
 #: the kinds whose events describe *state effects* and are rolled back when
 #: the subcall that produced them reverts (see ExecutionTrace.subcall_mark)
 EV_STATE_EFFECTS = EV_OVERFLOW | EV_STORAGE | EV_SELFDESTRUCT | EV_ETHER

@@ -11,9 +11,11 @@ mid-transaction are rolled back with the subcall that produced them via
 transactional semantics :class:`~repro.evm.trace.ExecutionTrace` applies
 to its own event lists.
 
-The historical batch entry point :meth:`Oracle.on_receipt` remains: it
-replays a complete receipt trace through the streaming hooks, so tests and
-external callers that hold a receipt need no bus.
+The batch entry point :meth:`Oracle.on_receipt` replays a complete
+receipt trace through the streaming hooks.  It is the reference that live
+streaming is checked against, the path the bus replays memoized
+transactions through on a state-cache hit, and the way tests and external
+callers that hold a receipt scan it without a bus.
 """
 
 from __future__ import annotations
@@ -212,7 +214,10 @@ class Oracle:
         """Replay a complete receipt trace through the streaming hooks.
 
         Reverted-subcall state effects were already pruned from the trace,
-        so no mark/rollback cycling is needed here.
+        so no mark/rollback cycling is needed here.  The bus calls this for
+        every replay-sensitive oracle when the state cache fast-forwards a
+        memoized transaction
+        (:meth:`~repro.oracles.bus.OracleBus.replay_transaction`).
         """
         self.begin_transaction()
         for event in events_from_trace(receipt.trace, self.subscriptions):

@@ -12,7 +12,10 @@ Subcall-revert rollback is forwarded to the oracles' transactional
 buffers: when the machine rolls a reverted frame's state-effect events out
 of the trace, the bus rolls the same events out of every subscribed
 oracle, so streaming and per-receipt batch scanning are observationally
-identical.
+identical.  That identity is what the state cache's fast-forward path
+rests on: a memoized transaction is replayed through the batch adapter
+:meth:`~repro.oracles.base.Oracle.on_receipt`, the reference the parity
+tests compare live streaming against.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from repro.evm.trace import (
     EV_SELFDESTRUCT,
     EV_STATE_EFFECTS,
     EV_STORAGE,
-    EtherEvent,
 )
 from repro.oracles.base import FindingCollector, OracleContext
 
@@ -77,18 +79,13 @@ class OracleBus:
         self.mask = 0
         for oracle in self.live_oracles:
             self.mask |= oracle.subscriptions
-        #: per-kind tuples of *bound* ``on_event`` methods (binding once
-        #: per campaign keeps the per-event dispatch to a plain call)
-        self._subs = {
-            kind: tuple(o.on_event for o in self.live_oracles
-                        if o.subscriptions & kind)
-            for kind in (EV_BRANCH, EV_COMPARE, EV_CALL, EV_OVERFLOW,
-                         EV_STORAGE, EV_SELFDESTRUCT, EV_BLOCK, EV_ETHER)
-        }
-        #: the per-kind tables in machine attribute order — built once per
-        #: campaign, unpacked by every per-transaction Machine
+        #: per-kind tuples of *bound* ``on_event`` methods, in machine
+        #: attribute order — built once per campaign (binding once keeps
+        #: the per-event dispatch to a plain call), unpacked by every
+        #: per-transaction Machine
         self.dispatch_tables = tuple(
-            self._subs[kind]
+            tuple(o.on_event for o in self.live_oracles
+                  if o.subscriptions & kind)
             for kind in (EV_BRANCH, EV_COMPARE, EV_CALL, EV_OVERFLOW,
                          EV_STORAGE, EV_SELFDESTRUCT, EV_BLOCK, EV_ETHER))
         #: oracles holding transactional (state-effect) buffers
@@ -105,17 +102,8 @@ class OracleBus:
         #: (``replay_sensitive``) — a transaction-local oracle fed an
         #: already-settled receipt could only re-emit duplicates the
         #: campaign collector drops anyway
-        replay_oracles = tuple(o for o in self.live_oracles
-                               if o.replay_sensitive)
-        self._replay_subs = {
-            kind: tuple(o.on_event for o in replay_oracles
-                        if o.subscriptions & kind)
-            for kind in (EV_BRANCH, EV_COMPARE, EV_CALL, EV_OVERFLOW,
-                         EV_STORAGE, EV_SELFDESTRUCT, EV_BLOCK, EV_ETHER)
-        }
-        self._replay_begin = tuple(o.begin_transaction
-                                   for o in replay_oracles)
-        self._replay_end = tuple(o.end_transaction for o in replay_oracles)
+        self._replay_hooks = tuple(o.on_receipt for o in self.live_oracles
+                                   if o.replay_sensitive)
         #: the sequence currently executing and the index of the live tx
         self._calls: list = []
         self._tx_index = 0
@@ -157,69 +145,35 @@ class OracleBus:
     def end_transaction(self, receipt) -> list:
         """Settle the finished transaction: collect findings, attach
         witnesses to new ones, and advance the sequence position."""
-        findings = []
-        witness = None
-        ctx = self.ctx
-        for hook in self._end_hooks:
-            for finding in hook(receipt, ctx):
-                if self._is_new(finding):
-                    if witness is None:
-                        witness = self.current_witness()
-                    finding = finding.with_witness(witness)
-                findings.append(finding)
-        self._tx_index += 1
-        return findings
+        return self._settle(self._end_hooks, receipt)
 
     def replay_transaction(self, receipt) -> list:
         """Fast-forward a memoized transaction from its recorded trace.
 
         The state-cache hit path: the transaction's machine never runs,
-        so the bus feeds the receipt's recorded events to the
-        **replay-sensitive** oracles — the ones whose cross-transaction
-        state must observe every transaction, skipped or not.  One pass
-        over the trace, kind-major in the canonical
-        :func:`~repro.evm.trace.events_from_trace` order, so each oracle
-        sees exactly the stream the batch adapter
-        (:meth:`~repro.oracles.base.Oracle.on_receipt`) would feed it,
-        which the parity tests pin as observationally identical to live
-        streaming.  Transaction-local oracles are not consulted at all: a
-        prefix is memoized only after executing (and settling) live at
-        least twice, so anything they would emit from this receipt is
-        already in the campaign collector.  Reverted-subcall state
-        effects were pruned from the trace when it was recorded, so no
-        mark/rollback cycling is needed.  Settlement mirrors
-        :meth:`end_transaction` (witness attachment, sequence advance)
-        over the replayed oracles, keeping campaign results
+        so each **replay-sensitive** oracle — one whose cross-transaction
+        state must observe every transaction, skipped or not — consumes
+        the receipt through its batch adapter
+        (:meth:`~repro.oracles.base.Oracle.on_receipt`), which the parity
+        tests pin as observationally identical to live streaming.
+        Transaction-local oracles are not consulted at all: a prefix is
+        memoized only after executing (and settling) live at least twice,
+        so anything they would emit from this receipt is already in the
+        campaign collector.  Settlement is :meth:`end_transaction`'s
+        (witness attachment, sequence advance), keeping campaign results
         byte-identical to a cache-off run.
         """
-        for hook in self._replay_begin:
-            hook()
-        ctx = self.ctx
-        trace = receipt.trace
-        subs = self._replay_subs
-        for kind, events in (
-                (EV_BRANCH, trace.branches),
-                (EV_COMPARE, trace.compares),
-                (EV_CALL, trace.calls),
-                (EV_OVERFLOW, trace.overflows),
-                (EV_STORAGE, trace.storage_ops),
-                (EV_SELFDESTRUCT, trace.selfdestructs),
-                (EV_BLOCK, trace.block_reads)):
-            handlers = subs[kind]
-            if handlers and events:
-                for event in events:
-                    for on_event in handlers:
-                        on_event(event, ctx)
-        handlers = subs[EV_ETHER]
-        if handlers and trace.ether_received:
-            for address, amount in trace.ether_received.items():
-                event = EtherEvent(pc=0, address=address, depth=0,
-                                   amount=amount)
-                for on_event in handlers:
-                    on_event(event, ctx)
+        return self._settle(self._replay_hooks, receipt)
+
+    def _settle(self, hooks, receipt) -> list:
+        """Collect the findings ``hooks`` report for ``receipt`` (each
+        called as ``hook(receipt, ctx)``, in registry order), attach the
+        current witness to the new ones, and advance the sequence
+        position."""
         findings = []
         witness = None
-        for hook in self._replay_end:
+        ctx = self.ctx
+        for hook in hooks:
             for finding in hook(receipt, ctx):
                 if self._is_new(finding):
                     if witness is None:

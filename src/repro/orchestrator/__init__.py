@@ -26,7 +26,6 @@ from repro.orchestrator.backends import (
     create_backend,
     execute_job,
     resolve_workers,
-    run_jobs,
 )
 from repro.orchestrator.jobs import CampaignJob, JobOutcome, build_matrix
 from repro.orchestrator.runner import MatrixRun, run_matrix
@@ -50,7 +49,6 @@ __all__ = [
     "matrix_table",
     "merge_trials",
     "resolve_workers",
-    "run_jobs",
     "run_matrix",
     "summarize",
 ]

@@ -53,7 +53,6 @@ def backend_for(workers: int | None = None,
 def create_backend(name: str | None = None, *, workers: int | None = None,
                    job_timeout: float | None = None,
                    recycle_after: int | None = None,
-                   sweep_interval: float | None = None,
                    checkpoint_every: int | None = None,
                    checkpoint_dir=None,
                    telemetry: bool = False,
@@ -69,32 +68,10 @@ def create_backend(name: str | None = None, *, workers: int | None = None,
         raise ValueError(f"unknown execution backend {name!r}: expected "
                          f"one of {', '.join(sorted(BACKENDS))}") from None
     return cls(workers=workers, job_timeout=job_timeout,
-               recycle_after=recycle_after, sweep_interval=sweep_interval,
-               checkpoint_every=checkpoint_every,
+               recycle_after=recycle_after, checkpoint_every=checkpoint_every,
                checkpoint_dir=checkpoint_dir,
                telemetry=telemetry, heartbeat_every=heartbeat_every,
                heartbeat=heartbeat)
-
-
-def run_jobs(jobs, workers: int | None = None,
-             job_timeout: float | None = None, progress=None,
-             backend: str | None = None, recycle_after: int | None = None,
-             sweep_interval: float | None = None,
-             checkpoint_every: int | None = None,
-             checkpoint_dir=None, telemetry: bool = False,
-             heartbeat_every: float | None = None, heartbeat=None) -> list:
-    """Execute every job; returns :class:`JobOutcome` per job, in job
-    order (one-call convenience over :func:`create_backend`)."""
-    engine = create_backend(backend, workers=workers,
-                            job_timeout=job_timeout,
-                            recycle_after=recycle_after,
-                            sweep_interval=sweep_interval,
-                            checkpoint_every=checkpoint_every,
-                            checkpoint_dir=checkpoint_dir,
-                            telemetry=telemetry,
-                            heartbeat_every=heartbeat_every,
-                            heartbeat=heartbeat)
-    return engine.run(jobs, progress=progress)
 
 
 __all__ = [
@@ -109,5 +86,4 @@ __all__ = [
     "create_backend",
     "execute_job",
     "resolve_workers",
-    "run_jobs",
 ]

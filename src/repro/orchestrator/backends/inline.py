@@ -21,13 +21,12 @@ class InlineBackend(ExecutionBackend):
     name = "inline"
 
     def __init__(self, workers=None, job_timeout=None, recycle_after=None,
-                 sweep_interval=None, checkpoint_every=None,
-                 checkpoint_dir=None, telemetry=False,
-                 heartbeat_every=None, heartbeat=None) -> None:
+                 checkpoint_every=None, checkpoint_dir=None,
+                 telemetry=False, heartbeat_every=None,
+                 heartbeat=None) -> None:
         # one logical worker regardless of the requested count
         super().__init__(workers=1, job_timeout=job_timeout,
                          recycle_after=recycle_after,
-                         sweep_interval=sweep_interval,
                          checkpoint_every=checkpoint_every,
                          checkpoint_dir=checkpoint_dir,
                          telemetry=telemetry,

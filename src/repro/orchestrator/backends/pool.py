@@ -40,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.orchestrator.backends.base import (
+    DEFAULT_SWEEP,
     ExecutionBackend,
     SchedulerCore,
     execute_to_wire,
@@ -84,8 +85,7 @@ class PoolBackend(ExecutionBackend):
     name = "pool"
 
     def _run(self, jobs, progress) -> list:
-        core = SchedulerCore(jobs, progress, self.sweep_interval,
-                             on_heartbeat=self.heartbeat)
+        core = SchedulerCore(jobs, progress, on_heartbeat=self.heartbeat)
         pending = deque(jobs)
         workers: dict = {}  # key -> _PoolWorker
         keys = itertools.count()
@@ -185,7 +185,7 @@ class PoolBackend(ExecutionBackend):
                 for worker in workers.values():
                     dispatch(worker)
 
-                core.drain(block_for=self.sweep_interval, handler=on_wire)
+                core.drain(block_for=DEFAULT_SWEEP, handler=on_wire)
                 sweep()
         finally:
             # wind down politely, then terminate stragglers (a worker

@@ -216,7 +216,7 @@ class TestEnergyScheduler:
         scheduler = self._scheduler(ENERGY_DYNAMIC, crowdsale_artifact)
         pcs = sorted(crowdsale_artifact.branch_info)[:3]
         scheduler.prefuzz(self._trace(pcs), target_address=1)
-        weights = [scheduler.weight_of(pc) for pc in pcs]
+        weights = [scheduler.weights.get(pc, 0.0) for pc in pcs]
         assert weights[0] < weights[2]  # deeper on path → higher w1
 
     def test_dynamic_energy_scales_with_weight(self, crowdsale_artifact):
@@ -281,13 +281,6 @@ class TestCoverageTracker:
             tracker.add_trace(self._trace([(pc, True)]))
         values = [cov for _, cov in tracker.curve]
         assert values == sorted(values)
-
-    def test_uncovered_targets_shrink(self, crowdsale_artifact):
-        tracker = self._tracker(crowdsale_artifact)
-        initial = len(tracker.uncovered_targets())
-        pc = sorted(crowdsale_artifact.branch_info)[0]
-        tracker.add_trace(self._trace([(pc, True)]))
-        assert len(tracker.uncovered_targets()) == initial - 1
 
     def test_step_multiplier_scales_time_axis(self, crowdsale_artifact):
         tracker = self._tracker(crowdsale_artifact)

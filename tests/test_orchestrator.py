@@ -17,7 +17,6 @@ from repro.orchestrator import (
     create_backend,
     execute_job,
     merge_trials,
-    run_jobs,
     run_matrix,
     summarize,
 )
@@ -361,7 +360,7 @@ class TestBackends:
         jobs = build_matrix(
             [("Crowdsale", CROWDSALE_SOURCE), ("Broken", BROKEN_SOURCE)],
             presets=("mufuzz",), trials=2, overrides=FAST)
-        outcomes = run_jobs(jobs, workers=2, backend="pool")
+        outcomes = create_backend("pool", workers=2).run(jobs)
         by_name: dict = {}
         for outcome in outcomes:
             by_name.setdefault(outcome.job.name, []).append(outcome)
@@ -395,7 +394,7 @@ class TestParallelExecution:
         jobs = build_matrix(
             [("Crowdsale", CROWDSALE_SOURCE), ("Broken", BROKEN_SOURCE)],
             presets=("mufuzz",), overrides=FAST)
-        outcomes = run_jobs(jobs, workers=2)
+        outcomes = create_backend(workers=2).run(jobs)
         by_name = {o.job.name: o for o in outcomes}
         assert by_name["Crowdsale"].ok
         assert by_name["Broken"].status == "error"
@@ -403,7 +402,7 @@ class TestParallelExecution:
 
     def test_job_timeout_terminates_the_worker(self):
         job = _job(overrides={"iterations": 50_000_000})
-        (outcome,) = run_jobs([job], workers=2, job_timeout=1.0)
+        (outcome,) = create_backend(workers=2, job_timeout=1.0).run([job])
         assert outcome.status == "timeout"
         assert outcome.result is None
         assert "timeout" in outcome.error
