@@ -45,6 +45,10 @@ REPLAY_ITERS_SMOKE = 25
 CLIFF_STEPS_PER_SEC = 50_000
 #: interleaved on/off rounds per contract for the telemetry gate
 OVERHEAD_ROUNDS = 3
+#: paired on/off ratios the telemetry gate's median is taken over; the
+#: median's spread shrinks with their square root, and at 12 pairs it was
+#: as wide as the 3% budget on a 2-core host
+OVERHEAD_PAIRS = 48
 #: enabled telemetry may cost at most this fraction of replay time
 OVERHEAD_BUDGET = 0.03
 #: rounds of the oracle gate; each replays every selection once
@@ -134,8 +138,8 @@ def _telemetry_overhead(contracts, iters: int) -> dict:
     """
     was_enabled = telemetry_metrics.enabled()
     ratios = []
-    # keep at least ~12 paired samples even on the shrunk smoke workload
-    rounds = max(OVERHEAD_ROUNDS, 12 // max(1, len(contracts)))
+    # the same number of paired samples at smoke and full size
+    rounds = max(OVERHEAD_ROUNDS, OVERHEAD_PAIRS // max(1, len(contracts)))
     try:
         for contract in contracts:
             fuzzer, seed = _replay_fuzzer(contract, iters,

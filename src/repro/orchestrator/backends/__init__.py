@@ -7,10 +7,11 @@ machine, both settling byte-identical results:
     everything in the calling process — the debugging mode and the
     determinism reference; no isolation, no timeouts, no recycling.
 ``pool`` (default)
-    persistent workers pulling jobs from the scheduler, each with a warm
-    per-process compile cache, with per-job timeouts and crash isolation
-    via kill-and-respawn.  ``recycle_after=1`` is the isolation mode: a
-    fresh process per job, nothing surviving between jobs.
+    persistent workers forked from the scheduler, each kept on one
+    contract where it can and with a warm per-process compile cache, with
+    per-job timeouts and crash isolation via kill-and-replace.
+    ``recycle_after=1`` is the isolation mode: a fresh process forked from
+    the scheduler per job; nothing a job did survives into another.
 
 ``create_backend(None, ...)`` auto-selects: inline for the explicit
 single-worker debugging mode (no timeout, no recycling), otherwise the

@@ -8,7 +8,7 @@ Three pieces live here because every backend needs them:
 * :class:`ExecutionBackend` — the protocol a backend implements (validate
   the batch, run it, expose run-level ``stats``);
 * :class:`SchedulerCore` — the result-side bookkeeping of a
-  process-based scheduler (today the pool): the ``spawn`` start-method
+  process-based scheduler (today the pool): the ``fork`` start-method
   context, the shared results queue, first-wins settlement, and a
   *blocking* drain that sleeps in ``Queue.get(timeout=...)`` instead of
   spinning on a poll interval.
@@ -278,8 +278,9 @@ class ExecutionBackend:
 class SchedulerCore:
     """Result-side state of a process-based scheduler.
 
-    Owns the ``spawn`` start-method context, the shared results queue,
-    and settlement: first outcome wins (a result racing a timeout
+    Owns the ``fork`` start-method context (workers start from the
+    scheduler's already-imported package; POSIX only), the shared results
+    queue, and settlement: first outcome wins (a result racing a timeout
     termination must not settle the same job twice — double progress
     callbacks and a final state contradicting the live log), and the drain
     tolerates the mangled queue items a worker terminated mid-``put`` can
@@ -292,7 +293,7 @@ class SchedulerCore:
         self.jobs = list(jobs)
         self.by_id = {job.job_id: job for job in self.jobs}
         self.progress = progress
-        self.ctx = multiprocessing.get_context("spawn")
+        self.ctx = multiprocessing.get_context("fork")
         self.results_queue = self.ctx.Queue()
         self.settled: dict = {}  # job_id -> JobOutcome
         #: latest progress snapshot per in-flight job (wire dicts); a

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
+from repro.compiler.cache import compile_cached
 from repro.core.campaign import CampaignResult
+from repro.corpus import generate_d2
 from repro.oracles.base import BugClass, Finding
 from repro.orchestrator import (
     BACKENDS,
@@ -289,8 +292,11 @@ class TestBackends:
         contract at most once (hits >= cells - contracts x workers);
         ``recycle_after=1`` is the isolation mode — a fresh process per
         job, so every compile cache starts cold — and settles the same
-        results."""
+        results.  The scheduler's own compile cache is warm first: a
+        worker forked from it must not inherit the entries."""
         contracts = [("Crowdsale", CROWDSALE_SOURCE), ("Game", GAME_SOURCE)]
+        for _, source in contracts:
+            compile_cached(source)
         kw = dict(presets=("mufuzz", "sfuzz"), trials=5, overrides=FAST,
                   workers=2, backend="pool")
         pool = run_matrix(contracts, **kw)
@@ -307,6 +313,67 @@ class TestBackends:
                  for o in pool.outcomes]
                 == [o.result.to_dict() | {"wall_time": 0.0}
                     for o in isolated.outcomes])
+
+    def test_pool_forks_only_from_a_single_threaded_scheduler(
+            self, monkeypatch):
+        """Every worker is forked, one per job at ``recycle_after=1``,
+        and the scheduler has no other thread at any fork: the dispatch
+        channels start no feeder thread."""
+        threads = []
+        fork = os.fork
+
+        def recording_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        jobs = [_job(trial=t) for t in range(4)]
+        engine = create_backend("pool", workers=2, recycle_after=1)
+        outcomes = engine.run(jobs)
+        assert all(o.ok for o in outcomes)
+        assert len(threads) >= len(jobs)
+        assert set(threads) == {1}, threads
+
+    def test_pool_keeps_each_worker_on_one_contract(self):
+        """Contract-sticky dispatch: a contract compiles in a second
+        worker only when that worker steals from the tail, so misses stay
+        within contracts + workers - 1."""
+        contracts = [(c.name, c.source) for c in generate_d2()[:4]]
+        run = run_matrix(contracts, presets=("mufuzz", "sfuzz"), trials=3,
+                         overrides={"iterations": 5}, workers=2,
+                         backend="pool")
+        assert not run.errors and run.executed == 24
+        assert run.stats.compile_cache_misses <= len(contracts) + 2 - 1
+
+    def test_pool_dispatch_survives_a_broken_pipe(self, monkeypatch):
+        """A failed send leaves the job pending: it is dispatched again
+        and the matrix still settles every job ``ok``."""
+        from multiprocessing.connection import Connection
+        send = Connection.send
+        failures = []
+
+        def failing_send(conn, obj):
+            if not failures:
+                failures.append(obj)
+                raise BrokenPipeError("injected")
+            return send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", failing_send)
+        jobs = [_job(trial=t) for t in range(3)]
+        outcomes = create_backend("pool", workers=2).run(jobs)
+        assert failures and failures[0] is not None
+        assert [o.status for o in outcomes] == ["ok"] * 3
+
+    def test_pool_timeout_excludes_worker_start(self):
+        """Worker start-up is not charged to a job's timeout: a forked
+        worker is ready within milliseconds, so a budget far above a
+        job's run time but below an interpreter boot times out nothing."""
+        contracts = [(c.name, c.source) for c in generate_d2()[:3]]
+        run = run_matrix(contracts, presets=("mufuzz",), trials=2,
+                         overrides={"iterations": 5}, workers=2,
+                         backend="pool", job_timeout=0.25)
+        assert not run.timeouts and not run.errors
+        assert run.executed == 6
 
     def test_pool_recycles_workers_after_quota(self):
         jobs = build_matrix([("Crowdsale", CROWDSALE_SOURCE)],

@@ -463,8 +463,8 @@ class TestTelemetryCLI:
 
 class TestEnvEnable:
     def test_env_var_enables_collection_in_workers(self):
-        """REPRO_TELEMETRY=1 is how spawned workers inherit the switch;
-        the module hook honours it at import."""
+        """REPRO_TELEMETRY=1 switches collection on at import, in the
+        scheduler and so in every pool worker forked from it."""
         import subprocess
         import sys
         code = ("import repro.telemetry as t; "
